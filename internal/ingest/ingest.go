@@ -24,7 +24,7 @@
 package ingest
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -165,9 +165,13 @@ func LoadDir(dir, format string, opts Options) (*Report, error) {
 
 	rep := &Report{Dir: dir, Format: format}
 	seen := make(map[identity]string, len(names))
+	var (
+		buf bytes.Buffer
+		dec profile.Decoder
+	)
 	for _, name := range names {
 		path := filepath.Join(dir, name)
-		p, stage, err := loadFile(path, format)
+		p, stage, err := loadFile(&buf, &dec, path, format)
 		if err == nil {
 			id := identityOf(p)
 			if prev, dup := seen[id]; dup {
@@ -204,32 +208,36 @@ func identityOf(p *profile.Profile) identity {
 }
 
 // loadFile loads one profile file and classifies any failure by stage.
-func loadFile(path, format string) (*profile.Profile, Stage, error) {
-	data, err := os.ReadFile(path)
+// LoadDir passes the same buffer and Decoder for every file: the
+// campaign's repeated event names and callpaths are then decoded once,
+// and reusing buf is safe because no decoded profile aliases its input
+// bytes (pinned by TestLoadDirNoAlias).
+func loadFile(buf *bytes.Buffer, dec *profile.Decoder, path, format string) (*profile.Profile, Stage, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, StageRead, err
 	}
-	return DecodeBytes(data, format)
+	defer f.Close()
+	buf.Reset()
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, StageRead, err
+	}
+	return decode(dec, buf.Bytes(), format)
 }
 
-// DecodeBytes decodes and validates one profile held in memory,
-// classifying any failure with the same read/decode/validate stages
-// LoadDir uses for on-disk files. It is the validation entry point for
-// callers that receive profile bytes over a transport (edserve uploads)
-// rather than from the filesystem: a rejected upload carries the exact
-// stage a directory ingestion would have quarantined it under.
-func DecodeBytes(data []byte, format string) (*profile.Profile, Stage, error) {
+// decode decodes and validates one profile held in memory.
+func decode(dec *profile.Decoder, data []byte, format string) (*profile.Profile, Stage, error) {
 	if format == "json" {
-		var p profile.Profile
-		if err := json.Unmarshal(data, &p); err != nil {
+		p, err := dec.Decode(data)
+		if err != nil {
 			return nil, StageDecode, err
 		}
 		if err := p.Validate(); err != nil {
 			return nil, StageValidate, err
 		}
-		return &p, 0, nil
+		return p, 0, nil
 	}
-	p, err := importer.ReadCSV(strings.NewReader(string(data)))
+	p, err := importer.ReadCSV(bytes.NewReader(data))
 	if err != nil {
 		if errors.Is(err, importer.ErrFormat) {
 			return nil, StageDecode, err
@@ -237,6 +245,17 @@ func DecodeBytes(data []byte, format string) (*profile.Profile, Stage, error) {
 		return nil, StageValidate, err
 	}
 	return p, 0, nil
+}
+
+// DecodeBytes decodes and validates one profile held in memory,
+// classifying any failure with the same read/decode/validate stages
+// LoadDir uses for on-disk files. It is the validation entry point for
+// callers that receive profile bytes over a transport (edserve uploads)
+// rather than from the filesystem: a rejected upload carries the exact
+// stage a directory ingestion would have quarantined it under. The
+// profile does not alias data.
+func DecodeBytes(data []byte, format string) (*profile.Profile, Stage, error) {
+	return decode(new(profile.Decoder), data, format)
 }
 
 // Gate applies the degradation policy to the loaded set: it decides

@@ -170,14 +170,15 @@ func Read(path string) (*Profile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("profile: reading %s: %w", path, err)
 	}
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
+	var d Decoder
+	p, err := d.Decode(data)
+	if err != nil {
 		return nil, fmt.Errorf("profile: decoding %s: %w", path, err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("profile: %s: %w", path, err)
 	}
-	return &p, nil
+	return p, nil
 }
 
 // ReadAll loads every .json profile in the store's directory, sorted by

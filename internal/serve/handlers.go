@@ -225,7 +225,10 @@ func validateBatch(app string, req *uploadRequest) ([]upload, error) {
 	var batch []upload
 	var rejected []fileDetail
 	for i, f := range req.Profiles {
-		p, stage, err := ingest.DecodeBytes([]byte(f.Content), req.Format)
+		// One copy serves both the decode and the spool: no decoded field
+		// aliases its input.
+		data := []byte(f.Content)
+		p, stage, err := ingest.DecodeBytes(data, req.Format)
 		if err != nil {
 			rejected = append(rejected, fileDetail{Index: i, Stage: stage.String(), Reason: err.Error()})
 			continue
@@ -241,7 +244,7 @@ func validateBatch(app string, req *uploadRequest) ([]upload, error) {
 		batch = append(batch, upload{
 			name: name,
 			id:   identity{point: p.Point().Key(), rank: p.Rank, rep: p.Rep},
-			data: []byte(f.Content),
+			data: data,
 		})
 	}
 	if len(rejected) > 0 {

@@ -18,6 +18,7 @@ cover_current=""
 lint_bin=""
 lint_cache=""
 fit_bin=""
+ingest_bin=""
 
 cleanup() {
 	code=$?
@@ -25,6 +26,7 @@ cleanup() {
 	[ -n "$lint_bin" ] && rm -f "$lint_bin"
 	[ -n "$lint_cache" ] && rm -rf "$lint_cache"
 	[ -n "$fit_bin" ] && rm -f "$fit_bin"
+	[ -n "$ingest_bin" ] && rm -f "$ingest_bin"
 	if [ "$code" -ne 0 ]; then
 		echo "verify.sh: FAILED stage=$stage class=$class" >&2
 	fi
@@ -199,6 +201,39 @@ echo "$fit_out" | awk -v ceiling="$fit_alloc_ceiling" '
 	}
 	END { exit bad }' || { class="budget-exceeded"; exit 1; }
 
+# ingest-bench: profile ingestion (read + decode + validate) was ~88% of
+# an end-to-end cifar10 run until the single-pass profile decoder
+# (DESIGN.md §17) replaced reflection-based encoding/json on the canonical
+# schema. A 3-iteration BenchmarkLoadDir smoke run over the 90-file
+# cifar10 campaign must finish inside a 60-second budget and stay under
+# an allocs/op ceiling: the decoder measured ~2.0k allocs/op per load
+# (encoding/json: ~124k); the ceiling leaves ~10% headroom, so a schema
+# change that silently sends every file down the encoding/json fallback
+# fails here as well as in the schema-drift tests.
+ingest_alloc_ceiling=2200
+begin ingest-bench-build build "go test -c (ingest-bench smoke binary)"
+ingest_bin=$(mktemp)
+go test -c -o "$ingest_bin" ./internal/ingest
+begin ingest-bench test "BenchmarkLoadDir -benchtime 3x -benchmem (60s budget, allocs/op <= ${ingest_alloc_ceiling})"
+ingest_start=$(date +%s)
+ingest_out=$("$ingest_bin" -test.run '^$' -test.bench BenchmarkLoadDir -test.benchtime 3x -test.benchmem)
+ingest_elapsed=$(($(date +%s) - ingest_start))
+echo "$ingest_out"
+echo "ingest-bench: smoke run finished in ${ingest_elapsed}s"
+if [ "$ingest_elapsed" -gt 60 ]; then
+	class="budget-exceeded"
+	echo "ingest-bench: smoke run exceeded the 60s budget (${ingest_elapsed}s) — profile with 'go test -bench BenchmarkLoadDir -cpuprofile cpu.out ./internal/ingest'" >&2
+	exit 1
+fi
+echo "$ingest_out" | awk -v ceiling="$ingest_alloc_ceiling" '
+	/allocs\/op/ {
+		for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i - 1) + 0 > ceiling) {
+			printf "ingest-bench: %s allocates %s allocs/op, above the %d ceiling — profiles are leaving the single-pass decoder or an allocation crept into ingest; run '\''go test ./internal/profile'\'' and '\''go test -bench BenchmarkLoadDir -benchmem -memprofile mem.out ./internal/ingest'\''\n", $1, $(i - 1), ceiling
+			bad = 1
+		}
+	}
+	END { exit bad }' || { class="budget-exceeded"; exit 1; }
+
 # serve-bench: the modeling service must answer queries from its
 # published snapshot cache, never by re-fitting per request. The stage
 # builds the edserve binary (keeping cmd/edserve honest as a compile
@@ -223,12 +258,15 @@ fi
 
 # Fuzz smoke: the ingestion invariant ("valid profile or error — never a
 # panic, never a NaN smuggled into the pipeline") must survive a short
-# native-fuzzing burst on every loader fuzz target, plus the checkpoint
+# native-fuzzing burst on every loader fuzz target, the single-pass
+# profile decoder must keep matching encoding/json bit for bit and error
+# for error (FuzzProfileDecode), plus the checkpoint
 # decoder ("state round-trips or errors — a truncated or bit-flipped
 # state file must never panic or load silently wrong").
 begin fuzz test "fuzz smoke (5s per target)"
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=5s ./internal/importer
 go test -run='^$' -fuzz='^FuzzProfileRead$' -fuzztime=5s ./internal/profile
+go test -run='^$' -fuzz='^FuzzProfileDecode$' -fuzztime=5s ./internal/profile
 go test -run='^$' -fuzz='^FuzzParseFileName$' -fuzztime=5s ./internal/profile
 go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=5s ./internal/resilience
 
