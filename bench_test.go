@@ -356,7 +356,7 @@ func BenchmarkPipelineOnly(b *testing.B) {
 //
 //	off        zero-valued config — the hooks reduce to context checks
 //	armed      injector armed (empty schedule) + stage deadline + retrier
-//	checkpoint armed plus incremental campaign checkpointing (fresh store)
+//	checkpoint armed plus one checkpoint record per fit task (fresh store)
 //	resume     armed plus resume over a fully warm store (no refitting)
 //
 // The off→armed gap is the pure hook overhead the resilience layer adds

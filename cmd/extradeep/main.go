@@ -24,7 +24,7 @@
 // budgets (-stage-timeout) with seeded retry/backoff of transient
 // failures (-retries), per-kernel fit panics are quarantined so the run
 // completes partially instead of dying, and -checkpoint-dir persists
-// campaign state incrementally so an interrupted run rerun with -resume
+// each completed fit task so an interrupted run rerun with -resume
 // reuses every completed fit byte-identically. The EDFAULT_SCHEDULE and
 // EDFAULT_SEED environment knobs inject deterministic faults at stage
 // and fit-task boundaries for testing (see internal/resilience).
@@ -120,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	strict := fs.Bool("strict", false, "abort on the first unreadable profile instead of quarantining it")
 	jobs := fs.Int("j", 0, "fit worker parallelism: 0 = all cores, 1 = sequential (output is identical either way)")
 	timings := fs.Bool("timings", false, "print per-stage timings and counters to stderr")
-	checkpointDir := fs.String("checkpoint-dir", "", "persist campaign checkpoint state incrementally into this directory")
+	checkpointDir := fs.String("checkpoint-dir", "", "persist each completed fit task into this directory")
 	resume := fs.Bool("resume", false, "reuse completed fit results from -checkpoint-dir (content-keyed, so changed inputs refit)")
 	stageTimeout := fs.Duration("stage-timeout", 0, "deadline budget per pipeline stage attempt (0 = none)")
 	retries := fs.Int("retries", 0, "attempts per stage for transient failures (0 = default of 3)")

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"extradeep/internal/measurement"
 	"extradeep/internal/modeling"
@@ -15,11 +14,13 @@ import (
 
 // Checkpoint/resume for the fit stage. Every fit task is keyed by a
 // content hash of its complete inputs (metric, callpath, series samples,
-// modeling options), so a resumed run reuses a stored result if and only
-// if recomputing it would be byte-identical — any input or configuration
-// change silently invalidates the record. The campaign key hashes all
-// task keys, so the state file itself is per-campaign and two different
-// profile sets can share one checkpoint directory.
+// modeling options), and each completed task is written once, as its own
+// record under that key. A resumed run reuses a stored record if and
+// only if recomputing it would be byte-identical — any input or
+// configuration change silently misses. Records are not tied to a
+// campaign: a resumed run over the same store reuses every task whose
+// series and options are unchanged, so different profile sets share one
+// checkpoint directory and share their common tasks.
 
 // ckptModel is the serialized form of one fitted model inside a task
 // record, mirroring core's persisted model layout. JSON float64 encoding
@@ -123,29 +124,22 @@ func (t fitTask) name() string {
 	return fmt.Sprintf("%s %s %s", kind, t.metric, t.path)
 }
 
-// ckptPlan is the fit stage's checkpoint context: the per-task keys, the
-// campaign key, and the previously completed records keyed for reuse.
+// ckptPlan is the fit stage's checkpoint context: the store and every
+// task's content key. A plan without a store reuses nothing and records
+// nothing.
 type ckptPlan struct {
-	store      *resilience.Store
-	campaign   string
-	keys       []string // task index → content key
-	prior      map[string]resilience.TaskRecord
-	aggregates []byte
+	store  *resilience.Store
+	keys   []string // task index → content key
+	resume bool
 }
 
-// newCkptPlan derives keys for every task and, when resume is set, loads
-// any prior state for this campaign. A nil store yields a plan that
-// reuses nothing and records nothing.
-func newCkptPlan(store *resilience.Store, tasks []fitTask, opts modeling.Options, aggregates []byte, resume bool) (*ckptPlan, error) {
-	plan := &ckptPlan{store: store, prior: map[string]resilience.TaskRecord{}}
+// newCkptPlan derives the content key of every task when a store is
+// configured.
+func newCkptPlan(store *resilience.Store, tasks []fitTask, opts modeling.Options, resume bool) (*ckptPlan, error) {
+	plan := &ckptPlan{store: store, resume: resume}
 	if store == nil {
 		return plan, nil
 	}
-	optsJSON, err := json.Marshal(opts)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: encoding options for campaign key: %w", err)
-	}
-	parts := [][]byte{[]byte("campaign/v1"), optsJSON}
 	plan.keys = make([]string, len(tasks))
 	for i, t := range tasks {
 		key, err := fitTaskKey(t, opts)
@@ -153,97 +147,36 @@ func newCkptPlan(store *resilience.Store, tasks []fitTask, opts modeling.Options
 			return nil, err
 		}
 		plan.keys[i] = key
-		parts = append(parts, []byte(key))
 	}
-	plan.campaign = resilience.Key(parts...)
-	if resume {
-		if st, ok := resilience.LoadState(plan.store, plan.campaign); ok {
-			for _, rec := range st.Tasks {
-				plan.prior[rec.Key] = rec
-			}
-		}
-	}
-	plan.aggregates = aggregates
 	return plan, nil
 }
 
-// key returns task i's content key ("" without a store).
-func (p *ckptPlan) key(i int) string {
-	if p.keys == nil {
-		return ""
-	}
-	return p.keys[i]
-}
-
-// reuse returns the prior record for task i, if any.
+// reuse returns the stored record for task i when resuming. Missing,
+// damaged or foreign records are all a miss, and a miss means a refit.
 func (p *ckptPlan) reuse(i int) (resilience.TaskRecord, bool) {
-	if p.keys == nil {
+	if p.store == nil || !p.resume {
 		return resilience.TaskRecord{}, false
 	}
-	rec, ok := p.prior[p.keys[i]]
-	return rec, ok
+	payload, ok := p.store.Get(p.keys[i])
+	if !ok {
+		return resilience.TaskRecord{}, false
+	}
+	rec, err := resilience.DecodeRecord(payload)
+	if err != nil || rec.Key != p.keys[i] {
+		return resilience.TaskRecord{}, false
+	}
+	return rec, true
 }
 
-// ckptWriter persists campaign state incrementally: every completed task
-// appends (or replaces) its record and atomically rewrites the state
-// file, so a kill at any instant leaves a loadable prefix of the
-// campaign. Safe for concurrent use by the fit worker pool. Write
-// failures are deliberately swallowed: checkpointing is an optimization,
-// never a reason to fail a run that is otherwise succeeding.
-type ckptWriter struct {
-	mu    sync.Mutex
-	store *resilience.Store
-	state *resilience.CampaignState
-}
-
-// writer builds the incremental writer for this plan, pre-seeded with
-// the reused prior records so a resumed run's state file stays complete.
-func (p *ckptPlan) writer() *ckptWriter {
+// record persists task i's completed record under its content key. Each
+// fit worker writes only its own task's key, so concurrent records need
+// no lock. Write failures are deliberately swallowed: checkpointing is an
+// optimization, never a reason to fail a run that is otherwise
+// succeeding.
+func (p *ckptPlan) record(i int, rec resilience.TaskRecord) {
 	if p.store == nil {
-		return nil
-	}
-	return &ckptWriter{
-		store: p.store,
-		state: &resilience.CampaignState{
-			Version:    resilience.StateVersion,
-			Campaign:   p.campaign,
-			Aggregates: p.aggregates,
-		},
-	}
-}
-
-// record persists one completed task. Nil-safe.
-func (w *ckptWriter) record(rec resilience.TaskRecord) {
-	if w == nil {
 		return
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.addLocked(rec)
-	_ = resilience.SaveState(w.store, w.state)
-}
-
-// absorb adds a reused prior record to the in-memory state without
-// rewriting the file: reuse implies the on-disk state for this campaign
-// already contains the record, so a kill at any instant still leaves a
-// complete state, and a pure resume costs zero writes. The next record()
-// persists the absorbed records along with the fresh one.
-func (w *ckptWriter) absorb(rec resilience.TaskRecord) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.addLocked(rec)
-}
-
-// addLocked appends or replaces rec in the in-memory task list.
-func (w *ckptWriter) addLocked(rec resilience.TaskRecord) {
-	for i := range w.state.Tasks {
-		if w.state.Tasks[i].Key == rec.Key {
-			w.state.Tasks[i] = rec
-			return
-		}
-	}
-	w.state.Tasks = append(w.state.Tasks, rec)
+	rec.Key = p.keys[i]
+	_ = p.store.Put(rec.Key, resilience.EncodeRecord(rec))
 }

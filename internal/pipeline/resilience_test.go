@@ -182,7 +182,7 @@ func TestCheckpointResumeAfterKillMidFit(t *testing.T) {
 	}
 }
 
-// TestCheckpointInvalidatedByOptionChange: the campaign key hashes the
+// TestCheckpointInvalidatedByOptionChange: every task key hashes the
 // modeling options, so a configuration change can never reuse stale
 // records.
 func TestCheckpointInvalidatedByOptionChange(t *testing.T) {

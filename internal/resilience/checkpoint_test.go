@@ -2,11 +2,11 @@ package resilience
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"extradeep/internal/propcheck"
@@ -112,136 +112,70 @@ func TestNilStoreIsNoOp(t *testing.T) {
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("nil Get hit")
 	}
-	if _, ok := LoadState(s, "k"); ok {
-		t.Fatal("nil LoadState hit")
-	}
 }
 
-func TestEncodeStateRejectsDuplicates(t *testing.T) {
-	st := &CampaignState{
-		Campaign: "c",
-		Tasks: []TaskRecord{
-			{Key: "k1", Name: "a", Status: StatusFitted},
-			{Key: "k1", Name: "b", Status: StatusFitted},
-		},
-	}
-	if _, err := EncodeState(st); err == nil {
-		t.Fatal("duplicate task keys encoded successfully")
-	}
-}
+// legacyStatePayload is a campaign-state payload as older versions wrote
+// it: the whole campaign in one file, rewritten after every task. Nothing
+// reads these any more; they must never decode as a task record.
+const legacyStatePayload = `{
+ "version": 1,
+ "campaign": "ca9c222019ef30e69814ecab344dbb8140f4bf963ab0f28e497109ddf58803f7",
+ "aggregates": "WzFd",
+ "tasks": [
+  {
+   "key": "5cf810eb7838502cc8a6691fffce3a8a0e49496ef255c78d00cc8598278efd49",
+   "name": "time kern/a",
+   "status": "fitted",
+   "payload": "eyJmIjoicF4xIn0="
+  }
+ ]
+}`
 
-func TestDecodeStateValidates(t *testing.T) {
-	mk := func(mut func(*CampaignState)) []byte {
-		st := &CampaignState{
-			Version:  StateVersion,
-			Campaign: "c",
-			Tasks: []TaskRecord{
-				{Key: "a", Name: "t0", Status: StatusFitted, Payload: []byte("m")},
-				{Key: "b", Name: "t1", Status: StatusSkipped, Class: "panic", Reason: "boom"},
-			},
-		}
-		mut(st)
-		// Bypass EncodeState's normalization to exercise DecodeState.
-		payload, err := jsonMarshalState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return EncodeEnvelope(payload)
+func TestDecodeRecordValidates(t *testing.T) {
+	valid := TaskRecord{Key: "a", Name: "t0", Status: StatusSkipped, Class: "panic", Reason: "boom"}
+	if got, err := DecodeRecord(EncodeRecord(valid)); err != nil || !reflect.DeepEqual(got, valid) {
+		t.Fatalf("valid record: got %+v, %v", got, err)
 	}
-	if _, err := DecodeState(mk(func(*CampaignState) {})); err != nil {
-		t.Fatalf("valid state rejected: %v", err)
-	}
-	for name, mut := range map[string]func(*CampaignState){
-		"bad version":    func(st *CampaignState) { st.Version = 99 },
-		"unsorted tasks": func(st *CampaignState) { st.Tasks[0], st.Tasks[1] = st.Tasks[1], st.Tasks[0] },
-		"empty key":      func(st *CampaignState) { st.Tasks[0].Key = "" },
-		"bad status":     func(st *CampaignState) { st.Tasks[1].Status = "maybe" },
+	for name, payload := range map[string]string{
+		"empty key":      `{"key":"","name":"t0","status":"fitted"}`,
+		"bad status":     `{"key":"a","name":"t0","status":"maybe"}`,
+		"unknown field":  `{"key":"a","name":"t0","status":"fitted","campaign":"c"}`,
+		"non-canonical":  `{"key":"a", "name":"t0","status":"fitted"}`,
+		"trailing bytes": `{"key":"a","name":"t0","status":"fitted"}{}`,
+		"not json":       `not json`,
+		"campaign state": legacyStatePayload,
+		"null payload":   `{"key":"a","name":"t0","status":"fitted","payload":null}`,
+		"wrong key case": `{"KEY":"a","name":"t0","status":"fitted"}`,
+		"empty payload":  `{"key":"a","name":"t0","status":"fitted","payload":""}`,
+		"missing status": `{"key":"a","name":"t0"}`,
+		"unescaped html": `{"key":"<","name":"t0","status":"fitted"}`,
 	} {
-		if _, err := DecodeState(mk(mut)); err == nil {
-			t.Errorf("%s: decoded successfully", name)
+		if rec, err := DecodeRecord([]byte(payload)); err == nil {
+			t.Errorf("%s: decoded to %+v", name, rec)
 		}
 	}
 }
 
-// jsonMarshalState mirrors EncodeState's serialization without its
-// normalization, so tests can build deliberately invalid records.
-func jsonMarshalState(st *CampaignState) ([]byte, error) {
-	return json.MarshalIndent(st, "", " ")
-}
-
-func TestSaveLoadState(t *testing.T) {
-	s := &Store{Dir: t.TempDir()}
-	st := &CampaignState{
-		Campaign:   Key([]byte("campaign")),
-		Aggregates: []byte(`{"medians":true}`),
-		Tasks: []TaskRecord{
-			{Key: Key([]byte("t1")), Name: "time kern/a", Status: StatusFitted, Payload: []byte(`{"f":1}`)},
-			{Key: Key([]byte("t2")), Name: "time kern/b", Status: StatusSkipped, Class: "panic", Reason: "injected"},
-		},
-	}
-	if err := SaveState(s, st); err != nil {
-		t.Fatalf("SaveState: %v", err)
-	}
-	got, ok := LoadState(s, st.Campaign)
-	if !ok {
-		t.Fatal("LoadState missed")
-	}
-	if got.Campaign != st.Campaign || len(got.Tasks) != 2 {
-		t.Fatalf("LoadState = %+v", got)
-	}
-	// A record stored under a mismatched campaign key is a miss.
-	other := Key([]byte("other"))
-	if err := s.putRaw(other, mustEncodeState(t, st)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := LoadState(s, other); ok {
-		t.Fatal("state with mismatched campaign key loaded")
-	}
-}
-
-func mustEncodeState(t *testing.T, st *CampaignState) []byte {
-	t.Helper()
-	data, err := EncodeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// genState generates arbitrary well-formed campaign states, unsorted on
-// purpose: EncodeState must canonicalize them.
-func genState() propcheck.Gen[*CampaignState] {
-	return propcheck.Gen[*CampaignState]{
-		Generate: func(r *propcheck.Rand) *CampaignState {
-			n := r.IntRange(0, 8)
-			st := &CampaignState{
-				Campaign: fmt.Sprintf("%064x", r.Int64Range(0, 1<<50)),
+// genRecord generates arbitrary well-formed task records.
+func genRecord() propcheck.Gen[TaskRecord] {
+	return propcheck.Gen[TaskRecord]{
+		Generate: func(r *propcheck.Rand) TaskRecord {
+			rec := TaskRecord{
+				Key:  fmt.Sprintf("%064x", r.Int64Range(0, 1<<50)),
+				Name: fmt.Sprintf("metric kern/%d", r.Intn(100)),
 			}
 			if r.Bool() {
-				st.Aggregates = randBytes(r, 64)
+				rec.Status = StatusFitted
+				rec.Payload = randBytes(r, 128)
+			} else {
+				rec.Status = StatusSkipped
+				rec.Class = []string{"panic", "degraded", "unmodelable"}[r.Intn(3)]
+				rec.Reason = "injected failure"
 			}
-			seen := map[string]bool{}
-			for i := 0; i < n; i++ {
-				key := fmt.Sprintf("%064x", r.Int64Range(0, 1<<50))
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				tr := TaskRecord{Key: key, Name: fmt.Sprintf("metric kern/%d", i)}
-				if r.Bool() {
-					tr.Status = StatusFitted
-					tr.Payload = randBytes(r, 128)
-				} else {
-					tr.Status = StatusSkipped
-					tr.Class = []string{"panic", "degraded", "unmodelable"}[r.Intn(3)]
-					tr.Reason = "injected failure"
-				}
-				st.Tasks = append(st.Tasks, tr)
-			}
-			return st
+			return rec
 		},
-		Describe: func(st *CampaignState) string {
-			return fmt.Sprintf("campaign=%s tasks=%d", st.Campaign, len(st.Tasks))
+		Describe: func(rec TaskRecord) string {
+			return fmt.Sprintf("key=%s status=%s", rec.Key, rec.Status)
 		},
 	}
 }
@@ -254,40 +188,46 @@ func randBytes(r *propcheck.Rand, maxLen int) []byte {
 	return b
 }
 
-// TestPropCheckpointRoundTrip is the satellite's core property:
-// encode → decode → encode is byte-identical for arbitrary states, and a
-// truncated or bit-flipped record is always detected and recovered to a
-// miss, never a partial resume.
+// TestPropCheckpointRoundTrip is the record codec's core property:
+// encode → decode → encode is byte-identical for arbitrary task records,
+// an intact record loads through the store unchanged, and a truncated or
+// bit-flipped record file is always detected and recovered to a miss,
+// never a partial resume.
 func TestPropCheckpointRoundTrip(t *testing.T) {
-	propcheck.Check(t, genState(), func(st *CampaignState) error {
-		enc1, err := EncodeState(st)
-		if err != nil {
-			return fmt.Errorf("encode: %w", err)
-		}
-		dec, err := DecodeState(enc1)
+	propcheck.Check(t, genRecord(), func(rec TaskRecord) error {
+		enc1 := EncodeRecord(rec)
+		dec, err := DecodeRecord(enc1)
 		if err != nil {
 			return fmt.Errorf("decode: %w", err)
 		}
-		enc2, err := EncodeState(dec)
-		if err != nil {
-			return fmt.Errorf("re-encode: %w", err)
-		}
-		if !bytes.Equal(enc1, enc2) {
+		if enc2 := EncodeRecord(dec); !bytes.Equal(enc1, enc2) {
 			return errors.New("encode→decode→encode not byte-identical")
 		}
-		// Damage detection: truncate at a third and two-thirds, flip one
-		// payload bit; all three must recover to a miss through the store.
+		// Damage detection: truncate the stored file to nothing, a third
+		// and two-thirds, and flip one payload bit; each must recover to a
+		// miss through the store.
 		s := &Store{Dir: t.TempDir()}
-		key := dec.Campaign
+		if err := s.Put(rec.Key, enc1); err != nil {
+			return err
+		}
+		if payload, ok := s.Get(rec.Key); !ok || !bytes.Equal(payload, enc1) {
+			return errors.New("intact record did not load through the store")
+		}
+		file := filepath.Join(s.Dir, rec.Key+".ckpt")
+		stored, err := os.ReadFile(file)
+		if err != nil {
+			return err
+		}
 		for i, damage := range [][]byte{
-			enc1[:len(enc1)/3],
-			enc1[:2*len(enc1)/3],
-			flipBit(enc1, len(enc1)-1),
+			nil,
+			stored[:len(stored)/3],
+			stored[:2*len(stored)/3],
+			flipBit(stored, len(stored)-1),
 		} {
-			if err := s.putRaw(key, damage); err != nil {
+			if err := os.WriteFile(file, damage, 0o644); err != nil {
 				return err
 			}
-			if _, ok := LoadState(s, key); ok {
+			if _, ok := s.Get(rec.Key); ok {
 				return fmt.Errorf("damaged record %d loaded", i)
 			}
 		}

@@ -6,62 +6,41 @@ import (
 )
 
 // FuzzCheckpointDecode asserts the checkpoint loader invariant on
-// arbitrary file bytes: DecodeState either returns a fully validated
-// campaign state that re-encodes byte-identically, or an error — it
-// never panics and never accepts a record it cannot reproduce. This is
-// the property that makes corrupt checkpoints safe: anything damaged is
-// rejected here and Store.Get turns the rejection into a cache miss.
+// arbitrary record-file bytes: the envelope and DecodeRecord either
+// accept a fully validated task record that re-encodes to exactly the
+// input bytes, or error — they never panic and never accept a record
+// they could not have written. This is the property that makes corrupt
+// checkpoints safe: anything damaged is rejected here and the resume
+// path turns the rejection into a miss, and a miss into a refit.
 func FuzzCheckpointDecode(f *testing.F) {
-	valid := mustEncode(f, &CampaignState{
-		Campaign:   Key([]byte("campaign")),
-		Aggregates: []byte(`{"medians":[1,2,3]}`),
-		Tasks: []TaskRecord{
-			{Key: Key([]byte("t1")), Name: "time kern/a", Status: StatusFitted, Payload: []byte(`{"f":"p^1"}`)},
-			{Key: Key([]byte("t2")), Name: "time kern/b", Status: StatusSkipped, Class: "panic", Reason: "injected"},
-		},
-	})
-	f.Add(valid)
-	f.Add(mustEncode(f, &CampaignState{Campaign: "empty"}))
-	f.Add(valid[:len(valid)/2])               // truncated mid-payload
-	f.Add(valid[:len("edckpt v1")])           // magic only
-	f.Add([]byte("edckpt v1\n"))              // no digest line
-	f.Add([]byte("edckpt v2\nxx\n{}"))        // wrong version magic
-	f.Add(EncodeEnvelope([]byte("not json"))) // valid envelope, bad payload
-	f.Add(EncodeEnvelope([]byte(`{"version":1,"campaign":"c","tasks":null}`)))
-	f.Add(EncodeEnvelope([]byte(`{"version":99,"campaign":"c","tasks":null}`)))
-	f.Add(bytes.Replace(valid, []byte("fitted"), []byte("maybes"), 1)) // broken digest
+	fitted := EncodeEnvelope(EncodeRecord(TaskRecord{
+		Key: Key([]byte("t1")), Name: "time kern/a", Status: StatusFitted, Payload: []byte(`{"f":"p^1"}`),
+	}))
+	f.Add(fitted)
+	f.Add(EncodeEnvelope(EncodeRecord(TaskRecord{
+		Key: Key([]byte("t2")), Name: "time kern/b", Status: StatusSkipped, Class: "panic", Reason: "injected",
+	})))
+	f.Add(fitted[:len(fitted)/2])                                                            // truncated envelope
+	f.Add(fitted[:len("edckpt v1")])                                                         // magic only
+	f.Add(EncodeEnvelope([]byte(`{"key":"k","name":"n","status":"maybe"}`)))                 // bad status
+	f.Add(EncodeEnvelope([]byte(`{"key":"","name":"n","status":"fitted"}`)))                 // empty key
+	f.Add(EncodeEnvelope([]byte(`{"key":"k","name":"n","status":"fitted","campaign":"c"}`))) // unknown field
+	f.Add(bytes.Replace(fitted, []byte("fitted"), []byte("maybes"), 1))                      // broken digest
+	f.Add(EncodeEnvelope([]byte(legacyStatePayload)))                                        // older campaign-state file
+	f.Add(EncodeEnvelope([]byte(`{"key":"k", "name":"n","status":"fitted"}`)))               // non-canonical whitespace
+	f.Add(EncodeEnvelope([]byte("not json")))                                                // valid envelope, bad payload
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := DecodeState(data)
+		payload, err := DecodeEnvelope(data)
 		if err != nil {
 			return // rejected input: the other half of the invariant
 		}
-		// Every accepted state reaches the canonical encoding in one
-		// step: encode → decode → encode is byte-identical (the input
-		// itself may carry non-canonical JSON whitespace).
-		re, err := EncodeState(st)
+		rec, err := DecodeRecord(payload)
 		if err != nil {
-			t.Fatalf("accepted state failed to re-encode: %v", err)
+			return
 		}
-		st2, err := DecodeState(re)
-		if err != nil {
-			t.Fatalf("canonical encoding rejected: %v", err)
-		}
-		re2, err := EncodeState(st2)
-		if err != nil {
-			t.Fatalf("canonical state failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(re, re2) {
-			t.Fatalf("canonical encoding is not a fixed point:\n in: %q\nout: %q", re, re2)
+		if re := EncodeEnvelope(EncodeRecord(rec)); !bytes.Equal(re, data) {
+			t.Fatalf("accepted record does not re-encode byte-identically:\n in: %q\nout: %q", data, re)
 		}
 	})
-}
-
-func mustEncode(f *testing.F, st *CampaignState) []byte {
-	f.Helper()
-	data, err := EncodeState(st)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return data
 }

@@ -86,10 +86,12 @@ func (a *appState) abort() {
 // exactly the batch CLI's — same default aggregation and modeling
 // options, same lenient ingest with degradation gate — so the fitted
 // ModelSet is byte-identical to a batch run over the same files. With a
-// checkpoint directory, the campaign checkpoints under
-// CheckpointDir/<app> and (with Resume) reuses every fit task whose
-// content key is unchanged, which is what makes incremental uploads
-// cheap: one new configuration re-fits only affected kernels.
+// checkpoint directory, the campaign writes one record per fit task
+// under CheckpointDir/<app> and (with Resume) reuses every task whose
+// series and options are unchanged — across restarts and across
+// campaigns. Adding a configuration changes the series of every kernel
+// it touches, so an upload of a new configuration refits those kernels;
+// kernels it does not touch are reused.
 func (s *Server) campaign(ctx context.Context, a *appState, gen int64) (*Snapshot, *fitOutcome) {
 	cfg := s.cfg
 	var ckpt *resilience.Store

@@ -38,9 +38,10 @@
 //     (TestPropServeFitParity pins it).
 //
 //   - Incremental re-fit: with a checkpoint directory configured, every
-//     campaign runs with resilience checkpointing and resume, so adding
-//     one configuration re-fits only the tasks whose content keys
-//     changed — unchanged kernels are reused byte-identically.
+//     campaign runs with resilience checkpointing and resume, so a
+//     campaign re-fits only the tasks whose series or options changed —
+//     every other task is reused byte-identically. Adding a
+//     configuration changes the series of every kernel it touches.
 //
 // All handlers honor context cancellation and a per-request deadline
 // budget derived through resilience.Clock; fit campaigns run under the
@@ -75,13 +76,14 @@ type Config struct {
 	// spool is the server's durable input state — a restarted server
 	// rescans it and re-fits every application found.
 	SpoolDir string
-	// CheckpointDir enables incremental fit checkpointing: each
-	// application's campaigns persist per-task state under
+	// CheckpointDir enables fit checkpointing: each application's
+	// campaigns persist one record per completed fit task under
 	// CheckpointDir/<app>. Empty disables checkpointing.
 	CheckpointDir string
-	// Resume reuses checkpointed fit tasks across campaigns (and across
-	// server restarts), so an incremental upload re-fits only tasks whose
-	// content keys changed. Ignored without CheckpointDir.
+	// Resume reuses checkpointed fit tasks across campaigns and server
+	// restarts: every task whose series and options are unchanged. A new
+	// configuration changes the series of every kernel it touches, so
+	// those kernels refit. Ignored without CheckpointDir.
 	Resume bool
 	// Setup derives the training-setup values (Section 2.3.1) per
 	// configuration, exactly as the batch CLI's -benchmark/-batch flags
