@@ -57,11 +57,9 @@ import (
 	"syscall"
 	"time"
 
-	"extradeep/internal/epoch"
-	"extradeep/internal/measurement"
+	"extradeep/internal/core"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/serve"
-	"extradeep/internal/simulator/engine"
 	"extradeep/internal/simulator/hardware"
 	"extradeep/internal/simulator/parallel"
 )
@@ -131,7 +129,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
-	setup, err := buildSetup(*benchmark, strat, *weak, *batch, *trainSamples, *valSamples, *modelParallel)
+	setup, err := core.BuildSetup(*benchmark, strat, *weak, *batch, *trainSamples, *valSamples, *modelParallel)
 	if err != nil {
 		return usage(err)
 	}
@@ -203,34 +201,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	sayf(stdout, "edserve: drained\n")
 	return code
-}
-
-// buildSetup derives the epoch.SetupFunc either from a built-in
-// benchmark or from explicit flag values, mirroring the batch CLI so
-// server-side fits are option-for-option identical to batch runs.
-func buildSetup(benchmark string, strat parallel.Strategy, weak bool, batch, trainSamples, valSamples, m float64) (epoch.SetupFunc, error) {
-	if benchmark != "" {
-		b, err := engine.ByName(benchmark)
-		if err != nil {
-			return nil, err
-		}
-		return engine.SetupFunc(b, strat, weak), nil
-	}
-	if batch <= 0 || trainSamples <= 0 {
-		return nil, fmt.Errorf("either -benchmark or -batch and -train-samples must be given")
-	}
-	return func(point measurement.Point) epoch.Params {
-		ranks := point[0]
-		train := trainSamples
-		if weak {
-			train *= ranks
-		}
-		return epoch.Params{
-			BatchSize:     batch,
-			TrainSamples:  train,
-			ValSamples:    valSamples,
-			DataParallel:  ranks,
-			ModelParallel: m,
-		}
-	}, nil
 }

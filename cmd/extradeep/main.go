@@ -50,17 +50,13 @@ import (
 	"io"
 	"os"
 
-	"extradeep/internal/aggregate"
 	"extradeep/internal/analysis"
 	"extradeep/internal/core"
 	"extradeep/internal/diagnose"
 	"extradeep/internal/epoch"
 	"extradeep/internal/ingest"
-	"extradeep/internal/measurement"
-	"extradeep/internal/modeling"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/resilience"
-	"extradeep/internal/simulator/engine"
 	"extradeep/internal/simulator/hardware"
 	"extradeep/internal/simulator/parallel"
 )
@@ -180,8 +176,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	pl := pipeline.New(pipeline.Config{
 		Workers:      *jobs,
-		Aggregation:  aggregate.DefaultOptions(),
-		Modeling:     modeling.DefaultOptions(),
 		Observer:     obs,
 		Injector:     injector,
 		Retry:        resilience.RetryPolicy{MaxAttempts: *retries},
@@ -230,7 +224,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(err)
 	}
-	setup, err := buildSetup(*benchmark, strat, *weak, *batch, *trainSamples, *valSamples, *modelParallel)
+	setup, err := core.BuildSetup(*benchmark, strat, *weak, *batch, *trainSamples, *valSamples, *modelParallel)
 	if err != nil {
 		return usage(err)
 	}
@@ -284,35 +278,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitPartial
 	}
 	return exitOK
-}
-
-// buildSetup derives the epoch.SetupFunc either from a built-in benchmark
-// or from explicit flag values.
-func buildSetup(benchmark string, strat parallel.Strategy, weak bool, batch, trainSamples, valSamples, m float64) (epoch.SetupFunc, error) {
-	if benchmark != "" {
-		b, err := engine.ByName(benchmark)
-		if err != nil {
-			return nil, err
-		}
-		return engine.SetupFunc(b, strat, weak), nil
-	}
-	if batch <= 0 || trainSamples <= 0 {
-		return nil, fmt.Errorf("either -benchmark or -batch and -train-samples must be given")
-	}
-	return func(point measurement.Point) epoch.Params {
-		ranks := point[0]
-		train := trainSamples
-		if weak {
-			train *= ranks
-		}
-		return epoch.Params{
-			BatchSize:     batch,
-			TrainSamples:  train,
-			ValSamples:    valSamples,
-			DataParallel:  ranks,
-			ModelParallel: m,
-		}
-	}, nil
 }
 
 // predictOnly answers questions from previously saved models without any

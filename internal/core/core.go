@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"extradeep/internal/aggregate"
 	"extradeep/internal/epoch"
@@ -24,90 +23,14 @@ import (
 	"extradeep/internal/modeling"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
-	"extradeep/internal/resilience"
 	"extradeep/internal/simulator/engine"
+	"extradeep/internal/simulator/parallel"
 )
-
-// Resilience bundles the pipeline's fault-handling knobs for facade
-// callers: fault injection, per-stage deadline budgets, the retry
-// policy, and checkpoint/resume. The zero value disables all of it —
-// the production default. See pipeline.Config and DESIGN.md §13.
-type Resilience struct {
-	// Injector fires scheduled deterministic faults; nil disables.
-	Injector *resilience.Injector
-	// Retry is the per-stage backoff policy for retryable failures.
-	Retry resilience.RetryPolicy
-	// StageTimeout is the deadline budget per stage attempt; 0 disables.
-	StageTimeout time.Duration
-	// Checkpoint persists completed fit tasks incrementally; nil disables.
-	Checkpoint *resilience.Store
-	// Resume reuses content-keyed prior records from Checkpoint.
-	Resume bool
-}
-
-// Options bundles the pipeline configuration.
-type Options struct {
-	// Aggregation configures the Fig. 2 preprocessing.
-	Aggregation aggregate.Options
-	// Modeling configures the PMNF search.
-	Modeling modeling.Options
-	// MinConfigurations is the kernel-filtering threshold (step (4) of
-	// Fig. 2); 0 means the paper's 5.
-	MinConfigurations int
-	// Workers bounds the fit worker pool (see pipeline.Config.Workers):
-	// 1 runs sequentially, 0 uses all cores. Output is byte-identical for
-	// every value.
-	Workers int
-	// Resilience configures fault injection, retries, stage deadlines and
-	// checkpoint/resume; the zero value disables the whole layer.
-	Resilience Resilience
-}
-
-// DefaultOptions returns the paper's configuration.
-func DefaultOptions() Options {
-	return Options{
-		Aggregation:       aggregate.DefaultOptions(),
-		Modeling:          modeling.DefaultOptions(),
-		MinConfigurations: measurement.MinModelingPoints,
-	}
-}
 
 // ModelSet holds every model created for one application. It is an alias
 // for the pipeline's model set: the staged pipeline owns model creation,
 // core keeps the name for its facade API.
 type ModelSet = pipeline.ModelSet
-
-// pipelineFor assembles the staged pipeline behind this facade.
-func (o Options) pipelineFor() *pipeline.Pipeline {
-	return pipeline.New(pipeline.Config{
-		Workers:           o.Workers,
-		Aggregation:       o.Aggregation,
-		Modeling:          o.Modeling,
-		MinConfigurations: o.MinConfigurations,
-		Injector:          o.Resilience.Injector,
-		Retry:             o.Resilience.Retry,
-		StageTimeout:      o.Resilience.StageTimeout,
-		Checkpoint:        o.Resilience.Checkpoint,
-		Resume:            o.Resilience.Resume,
-	})
-}
-
-// AggregateProfiles groups raw profiles by configuration and runs the
-// Fig. 2 aggregation pipeline on each group, returning one aggregate per
-// application configuration, sorted by measurement point.
-func AggregateProfiles(profiles []*profile.Profile, opts aggregate.Options) ([]*aggregate.ConfigAggregate, error) {
-	p := pipeline.New(pipeline.Config{Aggregation: opts})
-	return p.Aggregate(context.Background(), profiles)
-}
-
-// BuildModels runs extrapolation and model fitting on aggregated
-// configurations via the staged pipeline. Kernels present in fewer than
-// MinConfigurations configurations are filtered out; kernels whose series
-// cannot be modeled (degenerate data) are skipped silently, mirroring the
-// tool's behaviour.
-func BuildModels(aggs []*aggregate.ConfigAggregate, setup epoch.SetupFunc, opts Options) (*ModelSet, error) {
-	return opts.pipelineFor().BuildModels(context.Background(), aggs, setup)
-}
 
 // Campaign describes one end-to-end measurement and modeling campaign on
 // the simulated substrate: profile the benchmark at the modeling ranks
@@ -128,8 +51,10 @@ type Campaign struct {
 	// Reps is the number of measurement repetitions per configuration
 	// (the paper uses 5).
 	Reps int
-	// Options configures aggregation and modeling.
-	Options Options
+	// Options configures the pipeline. Zero fields take the paper's
+	// defaults (see pipeline.New), except that a zero Modeling on a
+	// strong-scaling campaign uses modeling.StrongScalingOptions.
+	Options pipeline.Config
 }
 
 // Validate checks the campaign. The paper's minimum of five modeling
@@ -211,17 +136,13 @@ func RunCampaign(c Campaign) (*CampaignResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	opts := c.Options
-	if opts.Modeling.Unset() {
-		opts = DefaultOptions()
-		opts.Workers = c.Options.Workers
-		opts.Resilience = c.Options.Resilience
-		if !c.Config.WeakScaling {
-			// Strong-scaling runtimes shrink with scale; the search space
-			// needs negative exponents to express that.
-			opts.Modeling = modeling.StrongScalingOptions()
-		}
+	cfg := c.Options
+	if cfg.Modeling.Unset() && !c.Config.WeakScaling {
+		// Strong-scaling runtimes shrink with scale; the search space
+		// needs negative exponents to express that.
+		cfg.Modeling = modeling.StrongScalingOptions()
 	}
+	pl := pipeline.New(cfg)
 
 	modelingSet := make(map[int]bool, len(c.ModelingRanks))
 	allRanks := append([]int(nil), c.ModelingRanks...)
@@ -233,32 +154,33 @@ func RunCampaign(c Campaign) (*CampaignResult, error) {
 			allRanks = append(allRanks, r)
 		}
 	}
-	sort.Ints(allRanks)
 
-	var modelingAggs, allAggs []*aggregate.ConfigAggregate
+	var profiles []*profile.Profile
 	for _, ranks := range allRanks {
-		cfg := c.Config
-		cfg.Ranks = ranks
-		var group []*profile.Profile
+		run := c.Config
+		run.Ranks = ranks
 		for rep := 1; rep <= c.Reps; rep++ {
-			profiles, err := engine.Profile(c.Benchmark, cfg, rep, true)
+			ps, err := engine.Profile(c.Benchmark, run, rep, true)
 			if err != nil {
 				return nil, fmt.Errorf("core: profiling %d ranks rep %d: %w", ranks, rep, err)
 			}
-			group = append(group, profiles...)
+			profiles = append(profiles, ps...)
 		}
-		agg, err := aggregate.Aggregate(group, opts.Aggregation)
-		if err != nil {
-			return nil, fmt.Errorf("core: aggregating %d ranks: %w", ranks, err)
-		}
-		allAggs = append(allAggs, agg)
-		if modelingSet[ranks] {
+	}
+	ctx := context.Background()
+	allAggs, err := pl.Aggregate(ctx, profiles)
+	if err != nil {
+		return nil, err
+	}
+	var modelingAggs []*aggregate.ConfigAggregate
+	for _, agg := range allAggs {
+		if modelingSet[int(agg.Point[0])] {
 			modelingAggs = append(modelingAggs, agg)
 		}
 	}
 
 	setup := engine.SetupFunc(c.Benchmark, c.Config.Strategy, c.Config.WeakScaling)
-	models, err := BuildModels(modelingAggs, setup, opts)
+	models, err := pl.BuildModels(ctx, modelingAggs, setup)
 	if err != nil {
 		return nil, err
 	}
@@ -278,4 +200,36 @@ func RunCampaign(c Campaign) (*CampaignResult, error) {
 		actuals[path] = byRanks
 	}
 	return &CampaignResult{Models: models, AppActuals: actuals, Aggregates: allAggs}, nil
+}
+
+// BuildSetup derives the epoch-extrapolation setup either from a built-in
+// benchmark or from explicit values (batch size B, training-set size D_t,
+// validation-set size D_v, model parallelism M). It backs the -benchmark
+// and -batch/-train-samples flags of both extradeep and edserve, so a
+// server-side fit uses exactly the batch CLI's setup.
+func BuildSetup(benchmark string, strat parallel.Strategy, weak bool, batch, trainSamples, valSamples, m float64) (epoch.SetupFunc, error) {
+	if benchmark != "" {
+		b, err := engine.ByName(benchmark)
+		if err != nil {
+			return nil, err
+		}
+		return engine.SetupFunc(b, strat, weak), nil
+	}
+	if batch <= 0 || trainSamples <= 0 {
+		return nil, fmt.Errorf("either -benchmark or -batch and -train-samples must be given")
+	}
+	return func(point measurement.Point) epoch.Params {
+		ranks := point[0]
+		train := trainSamples
+		if weak {
+			train *= ranks
+		}
+		return epoch.Params{
+			BatchSize:     batch,
+			TrainSamples:  train,
+			ValSamples:    valSamples,
+			DataParallel:  ranks,
+			ModelParallel: m,
+		}
+	}, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"reflect"
 	"testing"
 
 	"extradeep/internal/aggregate"
@@ -173,41 +174,43 @@ func TestActualMedianEvenReps(t *testing.T) {
 	}
 }
 
-func TestAggregateProfilesEmpty(t *testing.T) {
-	if _, err := AggregateProfiles(nil, aggregate.DefaultOptions()); err == nil {
-		t.Error("empty profiles accepted")
-	}
-}
-
-func TestAggregateProfilesSortedByPoint(t *testing.T) {
-	b, err := engine.ByName("imdb")
+// TestRunCampaignKeepsCallerAggregation pins per-field defaulting: a
+// campaign that sets only Options.Aggregation (mean aggregation) with a
+// zero Modeling must aggregate with the caller's options, not have them
+// replaced by the paper defaults along with Modeling.
+func TestRunCampaignKeepsCallerAggregation(t *testing.T) {
+	c := testCampaign(t)
+	mean := aggregate.Options{SkipWarmupEpochs: 1, UseMean: true}
+	c.Options.Aggregation = mean
+	res, err := RunCampaign(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := engine.RunConfig{
-		System: hardware.DEEP(), Strategy: parallel.DataParallel{},
-		WeakScaling: true, Seed: 3, SampleRanks: 2,
-	}
-	var all []*profile.Profile
-	for _, ranks := range []int{8, 2, 4} {
-		cfg.Ranks = ranks
-		ps, err := engine.Profile(b, cfg, 1, true)
+
+	// Re-profile the first modeling point and aggregate it both ways.
+	cfg := c.Config
+	cfg.Ranks = c.ModelingRanks[0]
+	var group []*profile.Profile
+	for rep := 1; rep <= c.Reps; rep++ {
+		ps, err := engine.Profile(c.Benchmark, cfg, rep, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, ps...)
+		group = append(group, ps...)
 	}
-	aggs, err := AggregateProfiles(all, aggregate.DefaultOptions())
+	wantMean, err := aggregate.Aggregate(group, mean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(aggs) != 3 {
-		t.Fatalf("aggregates = %d, want 3", len(aggs))
+	median, err := aggregate.Aggregate(group, aggregate.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(aggs); i++ {
-		if !aggs[i-1].Point.Less(aggs[i].Point) {
-			t.Error("aggregates not sorted by point")
-		}
+	if reflect.DeepEqual(wantMean.Categories, median.Categories) {
+		t.Fatal("mean and median aggregation agree on the test campaign; the test cannot tell them apart")
+	}
+	if !reflect.DeepEqual(res.Aggregates[0], wantMean) {
+		t.Error("campaign aggregates differ from mean aggregation of the same profiles: the caller's Aggregation was dropped")
 	}
 }
 
@@ -247,7 +250,7 @@ func TestRunCampaignDeterministic(t *testing.T) {
 // that kernel and mark the model set partial, not fail the campaign.
 func TestRunCampaignResilienceQuarantine(t *testing.T) {
 	c := testCampaign(t)
-	c.Options.Resilience.Injector = resilience.NewInjector(nil,
+	c.Options.Injector = resilience.NewInjector(nil,
 		resilience.Fault{Point: "fit:task:0", Kind: resilience.KindError, Class: resilience.ClassDegraded})
 	res, err := RunCampaign(c)
 	if err != nil {
@@ -268,12 +271,12 @@ func TestRunCampaignResilienceQuarantine(t *testing.T) {
 }
 
 // TestRunCampaignCheckpointResume pins the facade's checkpoint/resume
-// path: a campaign checkpointed through Options.Resilience and resumed
+// path: a campaign checkpointed through Options.Checkpoint and resumed
 // over identical inputs reproduces the same application model.
 func TestRunCampaignCheckpointResume(t *testing.T) {
 	store := &resilience.Store{Dir: t.TempDir()}
 	c := testCampaign(t)
-	c.Options.Resilience.Checkpoint = store
+	c.Options.Checkpoint = store
 	cold, err := RunCampaign(c)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +285,7 @@ func TestRunCampaignCheckpointResume(t *testing.T) {
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("checkpoint store empty after campaign (err=%v)", err)
 	}
-	c.Options.Resilience.Resume = true
+	c.Options.Resume = true
 	resumed, err := RunCampaign(c)
 	if err != nil {
 		t.Fatal(err)
@@ -291,5 +294,33 @@ func TestRunCampaignCheckpointResume(t *testing.T) {
 	got := resumed.Models.App[epoch.AppPath].Function.String()
 	if want != got {
 		t.Fatalf("resumed app model %q differs from cold run %q", got, want)
+	}
+}
+
+func TestBuildSetup(t *testing.T) {
+	strat := parallel.DataParallel{}
+	if _, err := BuildSetup("cifar10", strat, true, 0, 0, 0, 1); err != nil {
+		t.Errorf("built-in benchmark: %v", err)
+	}
+	if _, err := BuildSetup("no-such-benchmark", strat, true, 0, 0, 0, 1); err == nil {
+		t.Error("unknown benchmark accepted")
+	}
+	if _, err := BuildSetup("", strat, false, 32, 0, 0, 1); err == nil {
+		t.Error("missing -train-samples accepted")
+	}
+	for _, weak := range []bool{false, true} {
+		setup, err := BuildSetup("", strat, weak, 32, 1000, 100, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := setup(measurement.Point{8})
+		train := 1000.0
+		if weak {
+			train *= 8 // weak scaling grows the dataset with the ranks
+		}
+		if !mathutil.Close(p.BatchSize, 32) || !mathutil.Close(p.TrainSamples, train) ||
+			!mathutil.Close(p.ValSamples, 100) || !mathutil.Close(p.DataParallel, 8) || !mathutil.Close(p.ModelParallel, 2) {
+			t.Errorf("weak=%v: params %+v", weak, p)
+		}
 	}
 }

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"extradeep/internal/aggregate"
 	"extradeep/internal/epoch"
 	"extradeep/internal/measurement"
 	"extradeep/internal/modeling"
+	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
 	"extradeep/internal/simulator/engine"
 )
@@ -29,8 +30,10 @@ type GridCampaign struct {
 	Batches []int
 	// Reps is the number of repetitions per cell.
 	Reps int
-	// Options configures aggregation and modeling.
-	Options Options
+	// Options configures the pipeline. Zero fields take the paper's
+	// defaults (see pipeline.New), except that a zero Modeling uses
+	// modeling.StrongScalingOptions.
+	Options pipeline.Config
 }
 
 // Validate checks the grid campaign.
@@ -65,47 +68,41 @@ func RunGridCampaign(c GridCampaign) (*GridResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	opts := c.Options
-	if opts.Modeling.Unset() {
-		opts = DefaultOptions()
+	cfg := c.Options
+	if cfg.Modeling.Unset() {
 		// The batch size enters the per-epoch metric inversely (fewer,
 		// bigger steps), so the grid surface needs negative exponents
 		// regardless of the scaling mode.
-		opts.Modeling = modeling.StrongScalingOptions()
+		cfg.Modeling = modeling.StrongScalingOptions()
 	}
+	pl := pipeline.New(cfg)
 
-	ranks := append([]int(nil), c.Ranks...)
-	batches := append([]int(nil), c.Batches...)
-	sort.Ints(ranks)
-	sort.Ints(batches)
-
-	var aggs []*aggregate.ConfigAggregate
-	for _, r := range ranks {
-		for _, batch := range batches {
+	var profiles []*profile.Profile
+	for _, r := range c.Ranks {
+		for _, batch := range c.Batches {
 			bench := c.Benchmark
 			bench.BatchSize = batch
-			cfg := c.Config
-			cfg.Ranks = r
-			cfg.ProfileParams = []string{"p", "b"}
-			cfg.ProfilePoint = []float64{float64(r), float64(batch)}
-			var group []*profile.Profile
+			run := c.Config
+			run.Ranks = r
+			run.ProfileParams = []string{"p", "b"}
+			run.ProfilePoint = []float64{float64(r), float64(batch)}
 			for rep := 1; rep <= c.Reps; rep++ {
-				ps, err := engine.Profile(bench, cfg, rep, true)
+				ps, err := engine.Profile(bench, run, rep, true)
 				if err != nil {
 					return nil, fmt.Errorf("core: grid cell (%d ranks, batch %d) rep %d: %w", r, batch, rep, err)
 				}
-				group = append(group, ps...)
+				profiles = append(profiles, ps...)
 			}
-			agg, err := aggregate.Aggregate(group, opts.Aggregation)
-			if err != nil {
-				return nil, fmt.Errorf("core: aggregating grid cell (%d, %d): %w", r, batch, err)
-			}
-			aggs = append(aggs, agg)
 		}
+	}
+	ctx := context.Background()
+	aggs, err := pl.Aggregate(ctx, profiles)
+	if err != nil {
+		return nil, err
 	}
 
 	setup := GridSetup(c.Benchmark, c.Config)
-	models, err := BuildModels(aggs, setup, opts)
+	models, err := pl.BuildModels(ctx, aggs, setup)
 	if err != nil {
 		return nil, err
 	}

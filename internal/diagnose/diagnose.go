@@ -10,14 +10,15 @@
 package diagnose
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 
-	"extradeep/internal/aggregate"
 	"extradeep/internal/mathutil"
 	"extradeep/internal/measurement"
+	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
 	"extradeep/internal/trace"
 )
@@ -177,6 +178,9 @@ func Check(profiles []*profile.Profile, opts Options) *Report {
 	}
 
 	kernelConfigs := map[string]int{}
+	// Aggregation goes through the pipeline's Aggregate stage so the
+	// check assesses exactly the aggregates a run would model.
+	pl := pipeline.New(pipeline.Config{Workers: 1})
 
 	for _, key := range keys {
 		group := groups[key]
@@ -250,11 +254,12 @@ func Check(profiles []*profile.Profile, opts Options) *Report {
 		}
 
 		// Aggregate to assess variation and kernel coverage.
-		agg, err := aggregate.Aggregate(group, aggregate.DefaultOptions())
+		aggs, err := pl.Aggregate(context.Background(), group)
 		if err != nil {
 			rep.add(Error, subject, "aggregation failed: %v", err)
 			continue
 		}
+		agg := aggs[0]
 		for _, path := range sortedPaths(agg.Kernels) {
 			k := agg.Kernels[path]
 			kernelConfigs[path]++

@@ -20,7 +20,7 @@ import (
 // each hypothesis's normal equations — full-data and per
 // leave-one-out fold — directly from those columns, replaying the exact
 // floating-point operation order of the reference direct-solve path
-// (oracle.go). Replaying rather than algebraically updating keeps model
+// (oracle_test.go). Replaying rather than algebraically updating keeps model
 // selection bit-identical to the oracle: same accepted hypothesis set,
 // same CV-SMAPE bits, same winning hypothesis, same coefficients. What
 // the engine removes is all redundant work — the repeated math.Pow/log
@@ -39,28 +39,6 @@ var errNonFiniteBasis = errors.New("modeling: basis function undefined at a meas
 // rejection.
 var errNegativeCoefficient = errors.New("modeling: negative term coefficient rejected")
 
-// cvMode selects the engine's leave-one-out cross-validation
-// implementation.
-type cvMode int
-
-const (
-	// cvReplay replays every fold's normal-equation solve from the cached
-	// basis columns — bit-identical to the oracle, including the
-	// per-fold coefficient-sign and singularity rejections. The default.
-	cvReplay cvMode = iota
-	// cvHat derives all leave-one-out residuals from the single full-data
-	// solve via the hat-matrix diagonal (e_loo = e/(1−h_ii)). It is
-	// O(n·k²) instead of O(n²·k²) and mathematically equivalent on
-	// well-conditioned data, but it is not bit-identical and cannot
-	// reproduce the per-fold coefficient-sign rejection (it only sees the
-	// full-data coefficients). It stays behind this internal switch until
-	// a caller appears whose fits are large enough to need it (the
-	// planned edserve incremental refit path) and whose selection
-	// contract tolerates the relaxation; tests pin its numerical
-	// agreement with cvReplay.
-	cvHat
-)
-
 // fitContext is the per-task state of the design-matrix engine. It is
 // confined to one goroutine: the column cache fills lazily and every
 // scratch buffer is reused across the hypothesis space.
@@ -69,7 +47,6 @@ type fitContext struct {
 	values []float64
 	opts   Options
 	cols   *pmnf.ColumnSet
-	mode   cvMode
 
 	// Scratch reused across hypotheses and folds. termCols holds the
 	// current hypothesis's basis columns and facCols the per-term factor
@@ -77,11 +54,10 @@ type fitContext struct {
 	// replay); nonFinite the rows where any term column is NaN/Inf;
 	// xtx/xty the accumulated normal equations; ws the solver workspace;
 	// preds/acts the fold predictions; fullPreds the full-data predictions
-	// of a candidate; inv the (XᵀX)⁻¹ columns and unitB the unit
-	// right-hand side of the hat-matrix path. prepared/lastTerms memoize
-	// the most recently prepared hypothesis: selectBest cross-validates
-	// and then refits the same hypothesis back to back, and the second
-	// prepare would redo identical work.
+	// of a candidate. prepared/lastTerms memoize the most recently
+	// prepared hypothesis: selectBest cross-validates and then refits the
+	// same hypothesis back to back, and the second prepare would redo
+	// identical work.
 	termCols  [][]float64
 	facCols   [][][]float64
 	prepared  bool
@@ -94,8 +70,6 @@ type fitContext struct {
 	preds     []float64
 	acts      []float64
 	fullPreds []float64
-	inv       [][]float64
-	unitB     []float64
 }
 
 // The fit tasks of one campaign overwhelmingly share their measurement
@@ -444,15 +418,11 @@ func (fc *fitContext) fitHypothesis(h hypothesis) (*pmnf.Function, error) {
 }
 
 // crossValidate computes the leave-one-out CV-SMAPE of hypothesis h.
-// In cvReplay mode (the default) every fold's solve is replayed from the
-// cached columns, preserving the oracle's per-fold singularity and
-// coefficient-sign rejections bit for bit; cvHat derives the folds from
-// the hat-matrix diagonal instead.
+// Every fold's solve is replayed from the cached columns, preserving the
+// oracle's per-fold singularity and coefficient-sign rejections bit for
+// bit.
 func (fc *fitContext) crossValidate(h hypothesis) (float64, bool) {
 	fc.prepare(h)
-	if fc.mode == cvHat {
-		return fc.crossValidateHat(h)
-	}
 	n := len(fc.points)
 	fc.preds = fc.preds[:0]
 	fc.acts = fc.acts[:0]
@@ -473,78 +443,6 @@ func (fc *fitContext) crossValidate(h hypothesis) (float64, bool) {
 	return mathutil.SMAPE(fc.preds, fc.acts)
 }
 
-// crossValidateHat is the hat-matrix LOOCV path (cvHat): one full-data
-// solve, (XᵀX)⁻¹ by k+1 unit solves, then every leave-one-out residual
-// as e_i/(1−h_ii) with h_ii = x_iᵀ(XᵀX)⁻¹x_i. Folds whose leverage
-// reaches 1 (the fold-singular analogue) reject the hypothesis, as does
-// a negative full-data coefficient under NonNegativeCoefficients.
-func (fc *fitContext) crossValidateHat(h hypothesis) (float64, bool) {
-	if len(fc.nonFinite) > 0 {
-		return 0, false
-	}
-	n := len(fc.points)
-	k := len(h.terms) + 1
-	if n-1 < k {
-		return 0, false
-	}
-	coefs, err := fc.solveFold(len(h.terms), -1)
-	if err != nil {
-		return 0, false
-	}
-	if fc.checkSigns(coefs) != nil {
-		return 0, false
-	}
-	// Keep the full-data solution and normal matrix: the unit solves
-	// below reuse the solver scratch that coefs aliases.
-	for len(fc.inv) < k {
-		fc.inv = append(fc.inv, nil)
-	}
-	beta := append([]float64(nil), coefs[:k]...)
-	for len(fc.unitB) < k {
-		fc.unitB = append(fc.unitB, 0)
-	}
-	for col := 0; col < k; col++ {
-		for i := 0; i < k; i++ {
-			fc.unitB[i] = 0
-		}
-		fc.unitB[col] = 1
-		sol, err := mathutil.SolveLinearSystemInto(fc.xtx[:k], fc.unitB[:k], &fc.ws)
-		if err != nil {
-			return 0, false
-		}
-		fc.inv[col] = append(fc.inv[col][:0], sol...)
-	}
-	fc.preds = fc.preds[:0]
-	fc.acts = fc.acts[:0]
-	row := make([]float64, k)
-	for r := 0; r < n; r++ {
-		row[0] = 1
-		for c := 1; c < k; c++ {
-			row[c] = fc.termCols[c-1][r]
-		}
-		fitted := 0.0
-		for i := 0; i < k; i++ {
-			fitted += row[i] * beta[i]
-		}
-		lev := 0.0
-		for i := 0; i < k; i++ {
-			vi := 0.0
-			for j := 0; j < k; j++ {
-				vi += fc.inv[i][j] * row[j]
-			}
-			lev += vi * row[i]
-		}
-		denom := 1 - lev
-		if denom <= 1e-10 {
-			return 0, false
-		}
-		resid := fc.values[r] - fitted
-		fc.preds = append(fc.preds, fc.values[r]-resid/denom)
-		fc.acts = append(fc.acts, fc.values[r])
-	}
-	return mathutil.SMAPE(fc.preds, fc.acts)
-}
-
 // ranker supplies the stage-1 cross-validation function of the sparse
 // multi-parameter search: hypotheses rank on the axis line through the
 // grid, so a sub-context with its own column cache is built for the line
@@ -554,9 +452,7 @@ func (fc *fitContext) ranker(points []measurement.Point, values []float64) func(
 	if len(points) == len(fc.points) && len(points) > 0 && &points[0] == &fc.points[0] {
 		return fc.crossValidate
 	}
-	sub := newFitContext(points, values, fc.opts)
-	sub.mode = fc.mode
-	return sub.crossValidate
+	return newFitContext(points, values, fc.opts).crossValidate
 }
 
 // selectBest evaluates all hypotheses on the engine and returns the
@@ -707,14 +603,8 @@ func NewSeriesFitter(s *measurement.Series, opts Options) (*Fitter, error) {
 }
 
 // Fit runs the hypothesis search and model selection for the bound task.
-// With the oracle flag set (EDFIT_ORACLE) the search runs on the
-// reference direct-solve path instead; selection is bit-identical either
-// way.
 func (f *Fitter) Fit() (*Model, error) {
 	fc := f.fc
-	if forceOracle {
-		return fitOracle(fc.points, fc.values, fc.opts)
-	}
 	arity := len(fc.points[0])
 	var hyps []hypothesis
 	if arity == 1 {

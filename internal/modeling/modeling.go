@@ -8,8 +8,8 @@
 // Since the design-matrix engine refactor, fitting runs on a per-task
 // fitContext (see fitcontext.go) that evaluates every basis term once per
 // configuration into cached columns and replays the per-fold solves from
-// them — bit-identical to the reference direct-solve oracle (oracle.go),
-// which survives behind the EDFIT_ORACLE flag for verification.
+// them — bit-identical to the reference direct-solve oracle
+// (oracle_test.go), which the package tests verify it against.
 package modeling
 
 import (

@@ -3,7 +3,6 @@ package modeling
 import (
 	"errors"
 	"math"
-	"os"
 	"sort"
 
 	"extradeep/internal/mathutil"
@@ -18,14 +17,7 @@ import (
 // least-squares system per hypothesis and per cross-validation fold —
 // exactly what the engine replays from cached columns. The propcheck
 // suite pins engine ≡ oracle selection (same winning hypothesis, same
-// coefficient bits) over randomized inputs; EDFIT_ORACLE=1 routes a
-// whole run through this path for end-to-end cross-checks.
-
-// forceOracle routes every Fitter.Fit through the oracle. It is an
-// internal verification knob: set via the EDFIT_ORACLE environment
-// variable (read once at startup) for a whole process, or flipped
-// directly by in-package tests. Not part of the public API.
-var forceOracle = os.Getenv("EDFIT_ORACLE") != ""
+// coefficient bits) over randomized inputs.
 
 // fitOracle is the oracle's Fit: the same hypothesis generation as the
 // engine (sparse ranking included, via the oracle's cross-validation),

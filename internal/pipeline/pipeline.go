@@ -170,9 +170,13 @@ type Config struct {
 	// (the -j 1 mode), N > 1 uses at most N goroutines, and 0 defaults to
 	// runtime.GOMAXPROCS(0). Output is byte-identical for every value.
 	Workers int
-	// Aggregation configures the Fig. 2 preprocessing.
+	// Aggregation configures the Fig. 2 preprocessing. The zero value
+	// means the paper's defaults (aggregate.DefaultOptions); a caller
+	// changing one field starts from aggregate.DefaultOptions() and sets
+	// that field.
 	Aggregation aggregate.Options
-	// Modeling configures the PMNF hypothesis search.
+	// Modeling configures the PMNF hypothesis search; the zero value
+	// means modeling.DefaultOptions.
 	Modeling modeling.Options
 	// MinConfigurations is the kernel-filtering threshold (step (4) of
 	// Fig. 2); 0 means the paper's 5.
@@ -215,10 +219,15 @@ type Pipeline struct {
 }
 
 // New returns a pipeline over the given configuration, substituting
-// defaults for zero-valued aggregation/modeling options.
+// defaults for zero-valued aggregation/modeling options. It is the one
+// place pipeline defaults are applied: the CLI, the core facade and the
+// server all pass their Config through here.
 func New(cfg Config) *Pipeline {
 	if cfg.Observer == nil {
 		cfg.Observer = nopObserver{}
+	}
+	if cfg.Aggregation == (aggregate.Options{}) {
+		cfg.Aggregation = aggregate.DefaultOptions()
 	}
 	if cfg.Modeling.Unset() {
 		cfg.Modeling = modeling.DefaultOptions()

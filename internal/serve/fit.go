@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"extradeep/internal/aggregate"
 	"extradeep/internal/core"
 	"extradeep/internal/ingest"
 	"extradeep/internal/pipeline"
@@ -83,9 +82,9 @@ func (a *appState) abort() {
 
 // campaign runs one full pipeline over the application's spool directory
 // and builds the snapshot to publish. The pipeline configuration is
-// exactly the batch CLI's — same default aggregation and modeling
-// options, same lenient ingest with degradation gate — so the fitted
-// ModelSet is byte-identical to a batch run over the same files. With a
+// exactly the batch CLI's — pipeline.New's default aggregation and
+// modeling options, the same lenient ingest with degradation gate — so
+// the fitted ModelSet is byte-identical to a batch run over the same files. With a
 // checkpoint directory, the campaign writes one record per fit task
 // under CheckpointDir/<app> and (with Resume) reuses every task whose
 // series and options are unchanged — across restarts and across
@@ -102,26 +101,19 @@ func (s *Server) campaign(ctx context.Context, a *appState, gen int64) (*Snapsho
 		}
 		ckpt = &resilience.Store{Dir: dir}
 	}
-	agg := cfg.Aggregation
-	if agg == (aggregate.Options{}) {
-		agg = aggregate.DefaultOptions()
-	}
 	pl := pipeline.New(pipeline.Config{
-		Workers:           cfg.Workers,
-		Aggregation:       agg,
-		Modeling:          cfg.Modeling,
-		MinConfigurations: cfg.MinConfigurations,
-		Observer:          cfg.Observer,
-		Retry:             resilience.RetryPolicy{MaxAttempts: cfg.Retries},
-		StageTimeout:      cfg.StageTimeout,
-		Clock:             cfg.Clock,
-		Checkpoint:        ckpt,
-		Resume:            cfg.Resume,
+		Workers:      cfg.Workers,
+		Observer:     cfg.Observer,
+		Retry:        resilience.RetryPolicy{MaxAttempts: cfg.Retries},
+		StageTimeout: cfg.StageTimeout,
+		Clock:        cfg.Clock,
+		Checkpoint:   ckpt,
+		Resume:       cfg.Resume,
 	})
 	res, err := pl.Run(ctx, pipeline.RunSpec{
 		ProfilesDir: filepath.Join(cfg.SpoolDir, a.name),
 		Format:      a.spoolFormat(),
-		Ingest:      ingest.Options{Policy: ingest.Lenient, MinConfigurations: cfg.MinConfigurations},
+		Ingest:      ingest.Options{Policy: ingest.Lenient},
 		Setup:       cfg.Setup,
 		Analyze:     cfg.Analyze,
 	})

@@ -18,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"extradeep/internal/aggregate"
 	"extradeep/internal/core"
 	"extradeep/internal/epoch"
 	"extradeep/internal/ingest"
@@ -223,7 +222,7 @@ func contentsOf(files map[string]string) []string {
 // API-versus-batch parity properties.
 func batchModels(tb testing.TB, dir string, workers int) []byte {
 	tb.Helper()
-	pl := pipeline.New(pipeline.Config{Workers: workers, Aggregation: aggregate.DefaultOptions()})
+	pl := pipeline.New(pipeline.Config{Workers: workers})
 	res, err := pl.Run(context.Background(), pipeline.RunSpec{
 		ProfilesDir: dir,
 		Format:      "json",

@@ -60,9 +60,7 @@ import (
 	"sync"
 	"time"
 
-	"extradeep/internal/aggregate"
 	"extradeep/internal/epoch"
-	"extradeep/internal/modeling"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/resilience"
 )
@@ -91,21 +89,12 @@ type Config struct {
 	Setup epoch.SetupFunc
 	// Analyze configures the Section 3 questions answered per campaign.
 	Analyze pipeline.AnalyzeOptions
-	// Aggregation and Modeling configure the pipeline stages; zero values
-	// use the package defaults (matching the batch CLI).
-	Aggregation aggregate.Options
-	Modeling    modeling.Options
-	// MinConfigurations is the ingest degradation gate's per-application
-	// minimum; 0 means the paper's five.
-	MinConfigurations int
 	// Workers bounds each campaign's fit worker pool (0 = all cores).
 	Workers int
 	// MaxCampaigns bounds how many applications may fit concurrently
 	// (default 2). The per-campaign fan-out is bounded separately by
 	// Workers.
 	MaxCampaigns int
-	// Shards is the store's shard count (default 16).
-	Shards int
 	// RequestTimeout is the per-request deadline budget applied to every
 	// handler (default 30s; negative disables).
 	RequestTimeout time.Duration
@@ -193,7 +182,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:    cfg,
-		store:  newStore(cfg.Shards),
+		store:  newStore(),
 		clock:  clock,
 		fitSem: make(chan struct{}, cfg.maxCampaigns()),
 	}, nil

@@ -28,13 +28,10 @@ type shard struct {
 	apps map[string]*appState
 }
 
-const defaultShards = 16
+const shardCount = 16
 
-func newStore(shards int) *store {
-	if shards <= 0 {
-		shards = defaultShards
-	}
-	st := &store{shards: make([]*shard, shards)}
+func newStore() *store {
+	st := &store{shards: make([]*shard, shardCount)}
 	for i := range st.shards {
 		st.shards[i] = &shard{apps: make(map[string]*appState)}
 	}
