@@ -4,71 +4,22 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 
 	"extradeep/internal/measurement"
 	"extradeep/internal/modeling"
-	"extradeep/internal/pmnf"
 )
 
 // modelFileVersion identifies the persisted model format.
 const modelFileVersion = 1
 
-// savedModel is the serialized form of one fitted model.
-type savedModel struct {
-	Function *pmnf.Function `json:"function"`
-	SMAPE    float64        `json:"smape"`
-	RSS      float64        `json:"rss"`
-	// R2 is null for models whose data had no variance (R² undefined).
-	R2             *float64            `json:"r2"`
-	RelResidualStd float64             `json:"rel_residual_std"`
-	Points         []measurement.Point `json:"points"`
-	Actual         []float64           `json:"actual"`
-}
-
-func toSaved(m *modeling.Model) savedModel {
-	s := savedModel{
-		Function:       m.Function,
-		SMAPE:          m.SMAPE,
-		RSS:            m.RSS,
-		RelResidualStd: m.RelResidualStd,
-		Points:         m.Points,
-		Actual:         m.Actual,
-	}
-	if !math.IsNaN(m.R2) {
-		r2 := m.R2
-		s.R2 = &r2
-	}
-	return s
-}
-
-func fromSaved(s savedModel) (*modeling.Model, error) {
-	if s.Function == nil {
-		return nil, errors.New("core: saved model without function")
-	}
-	r2 := math.NaN()
-	if s.R2 != nil {
-		r2 = *s.R2
-	}
-	return &modeling.Model{
-		Function:       s.Function,
-		SMAPE:          s.SMAPE,
-		RSS:            s.RSS,
-		R2:             r2,
-		RelResidualStd: s.RelResidualStd,
-		Points:         s.Points,
-		Actual:         s.Actual,
-	}, nil
-}
-
 // modelFile is the on-disk layout of a model set.
 type modelFile struct {
 	Version int `json:"version"`
 	// App maps application callpaths to models.
-	App map[string]savedModel `json:"app"`
+	App map[string]*modeling.Model `json:"app"`
 	// Kernel maps metric → callpath → model.
-	Kernel map[measurement.Metric]map[string]savedModel `json:"kernel"`
+	Kernel map[measurement.Metric]map[string]*modeling.Model `json:"kernel"`
 }
 
 // EncodeModels canonically serializes a model set into the persisted
@@ -81,21 +32,7 @@ func EncodeModels(ms *ModelSet) ([]byte, error) {
 	if ms == nil {
 		return nil, errors.New("core: nil model set")
 	}
-	mf := modelFile{
-		Version: modelFileVersion,
-		App:     make(map[string]savedModel, len(ms.App)),
-		Kernel:  make(map[measurement.Metric]map[string]savedModel, len(ms.Kernel)),
-	}
-	for path, m := range ms.App {
-		mf.App[path] = toSaved(m)
-	}
-	for metric, byPath := range ms.Kernel {
-		dst := make(map[string]savedModel, len(byPath))
-		for path, m := range byPath {
-			dst[path] = toSaved(m)
-		}
-		mf.Kernel[metric] = dst
-	}
+	mf := modelFile{Version: modelFileVersion, App: ms.App, Kernel: ms.Kernel}
 	data, err := json.MarshalIndent(mf, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding models: %w", err)
@@ -129,27 +66,18 @@ func LoadModels(path string) (*ModelSet, error) {
 	if mf.Version != modelFileVersion {
 		return nil, fmt.Errorf("core: unsupported model-file version %d (want %d)", mf.Version, modelFileVersion)
 	}
-	ms := &ModelSet{
-		App:    make(map[string]*modeling.Model, len(mf.App)),
-		Kernel: make(map[measurement.Metric]map[string]*modeling.Model, len(mf.Kernel)),
-	}
-	for p, s := range mf.App {
-		m, err := fromSaved(s)
-		if err != nil {
-			return nil, fmt.Errorf("core: app model %q: %w", p, err)
+	// A null entry never reaches UnmarshalJSON, so it is rejected here.
+	for p, m := range mf.App {
+		if m == nil {
+			return nil, fmt.Errorf("core: app model %q is null", p)
 		}
-		ms.App[p] = m
 	}
 	for metric, byPath := range mf.Kernel {
-		dst := make(map[string]*modeling.Model, len(byPath))
-		for p, s := range byPath {
-			m, err := fromSaved(s)
-			if err != nil {
-				return nil, fmt.Errorf("core: kernel model %q/%q: %w", metric, p, err)
+		for p, m := range byPath {
+			if m == nil {
+				return nil, fmt.Errorf("core: kernel model %q/%q is null", metric, p)
 			}
-			dst[p] = m
 		}
-		ms.Kernel[metric] = dst
 	}
-	return ms, nil
+	return &ModelSet{App: mf.App, Kernel: mf.Kernel}, nil
 }

@@ -35,8 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -359,28 +357,4 @@ func ReadCSVFile(path string) (*profile.Profile, error) {
 		return nil, fmt.Errorf("importer: %s: %w", path, err)
 	}
 	return p, nil
-}
-
-// ImportDir loads every .csv profile in a directory, sorted by file name.
-func ImportDir(dir string) ([]*profile.Profile, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("importer: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".csv") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	out := make([]*profile.Profile, 0, len(names))
-	for _, name := range names {
-		p, err := ReadCSVFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }

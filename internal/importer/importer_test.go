@@ -93,6 +93,15 @@ func TestReadCSVRejectsBadNumbers(t *testing.T) {
 		"event,x,cuda,cp,0.0,notanumber,,\n",
 		"step,zero,0,train,0,1\n",
 		"epoch,0,bad,1\n",
+		"step,0,x,train,0,1\n",
+		"step,0,0,train,x,1\n",
+		"step,0,0,train,0,x\n",
+		"epoch,x,0,1\n",
+		"epoch,0,0,x\n",
+		// Short records and an unknown phase fail the same way.
+		"step,0,0\n",
+		"step,0,0,warmup,0,1\n",
+		"epoch,0\n",
 	}
 	for _, line := range cases {
 		if _, err := ReadCSV(strings.NewReader(sampleCSV + line)); err == nil {
@@ -253,47 +262,6 @@ func TestRoundTripSimulatedProfile(t *testing.T) {
 	}
 	if len(got.Trace.Steps) != len(profiles[0].Trace.Steps) {
 		t.Errorf("steps: %d vs %d", len(got.Trace.Steps), len(profiles[0].Trace.Steps))
-	}
-}
-
-func TestImportDir(t *testing.T) {
-	dir := t.TempDir()
-	orig, err := ReadCSV(strings.NewReader(sampleCSV))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rank := range []int{1, 0} {
-		orig.Rank = rank
-		orig.Trace.Rank = rank
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, orig); err != nil {
-			t.Fatal(err)
-		}
-		name := filepath.Join(dir, []string{"b.csv", "a.csv"}[i])
-		if err := os.WriteFile(name, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A non-CSV file must be ignored.
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	profiles, err := ImportDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profiles) != 2 {
-		t.Fatalf("imported %d, want 2", len(profiles))
-	}
-	// Sorted by file name: a.csv (rank 0) first.
-	if profiles[0].Rank != 0 {
-		t.Error("directory import not sorted")
-	}
-}
-
-func TestImportDirMissing(t *testing.T) {
-	if _, err := ImportDir(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("missing dir accepted")
 	}
 }
 

@@ -4,8 +4,9 @@
 // exist because profiles are noisy — but a profiling campaign on a shared
 // cluster also produces files that are outright broken: killed jobs leave
 // truncated exports, full filesystems leave empty ones, converters emit
-// NaN metrics. The raw loaders (profile.Store, importer.ImportDir) are
-// all-or-nothing; this package wraps them with per-file error isolation:
+// NaN metrics. LoadDir is the one directory loader: it reads each file
+// and decodes it with profile.Decoder or importer.ReadCSV, isolating
+// errors per file:
 //
 //   - every file that fails to read, decode or validate is quarantined
 //     into the Report with its path, failing stage and error, instead of

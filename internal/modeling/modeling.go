@@ -13,6 +13,7 @@
 package modeling
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -181,6 +182,65 @@ func (m *Model) PredictInterval(conf float64, params ...float64) (lo, hi float64
 // prediction against an observed value at the given point.
 func (m *Model) PercentErrorAt(actual float64, params ...float64) float64 {
 	return mathutil.AbsPercentError(m.Predict(params...), actual)
+}
+
+// modelJSON is the persisted layout of a Model, the one shared by the
+// model file (-save-models, edserve's /models) and the fit-task
+// checkpoint records.
+type modelJSON struct {
+	Function *pmnf.Function `json:"function"`
+	SMAPE    float64        `json:"smape"`
+	RSS      float64        `json:"rss"`
+	// R2 is null for models whose data had no variance (R² undefined).
+	R2             *float64            `json:"r2"`
+	RelResidualStd float64             `json:"rel_residual_std"`
+	Points         []measurement.Point `json:"points"`
+	Actual         []float64           `json:"actual"`
+}
+
+// MarshalJSON encodes the model in its persisted layout, with an
+// undefined (NaN) R² as null. encoding/json float64 encoding round-trips
+// exactly, so a decoded model predicts — and renders — byte-identically
+// to the encoded one.
+func (m *Model) MarshalJSON() ([]byte, error) {
+	mj := modelJSON{
+		Function:       m.Function,
+		SMAPE:          m.SMAPE,
+		RSS:            m.RSS,
+		RelResidualStd: m.RelResidualStd,
+		Points:         m.Points,
+		Actual:         m.Actual,
+	}
+	if !math.IsNaN(m.R2) {
+		mj.R2 = &m.R2
+	}
+	return json.Marshal(mj)
+}
+
+// UnmarshalJSON is the inverse of MarshalJSON. A model without a
+// function is an error: it could not predict anything.
+func (m *Model) UnmarshalJSON(data []byte) error {
+	var mj modelJSON
+	if err := json.Unmarshal(data, &mj); err != nil {
+		return err
+	}
+	if mj.Function == nil {
+		return errors.New("modeling: model without function")
+	}
+	r2 := math.NaN()
+	if mj.R2 != nil {
+		r2 = *mj.R2
+	}
+	*m = Model{
+		Function:       mj.Function,
+		SMAPE:          mj.SMAPE,
+		RSS:            mj.RSS,
+		R2:             r2,
+		RelResidualStd: mj.RelResidualStd,
+		Points:         mj.Points,
+		Actual:         mj.Actual,
+	}
+	return nil
 }
 
 // ErrTooFewPoints reports insufficient measurement points for modeling.

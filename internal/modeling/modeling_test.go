@@ -1,9 +1,11 @@
 package modeling
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"extradeep/internal/mathutil"
@@ -483,5 +485,37 @@ func TestMemoizedFitMatchesFreshFit(t *testing.T) {
 		} else if got := m.Function.String(); got != first {
 			t.Errorf("call %d: model %s, want %s", i, got, first)
 		}
+	}
+}
+
+// TestModelJSONRoundTrip pins the persisted model layout: an undefined
+// R² travels as null and comes back NaN, every other field round-trips
+// exactly, and a model without a function is rejected.
+func TestModelJSONRoundTrip(t *testing.T) {
+	fn := &pmnf.Function{Constant: 1.5, Terms: []pmnf.Term{{Coefficient: 0.25, Factors: []pmnf.Factor{{Param: 0, PolyExp: 0.5, LogExp: 1}}}}}
+	for _, r2 := range []float64{math.NaN(), 0.75} {
+		orig := &Model{Function: fn, SMAPE: 2, RSS: 0.125, R2: r2, RelResidualStd: 0.01, Points: points1D(2, 4), Actual: []float64{1, 2}}
+		data, err := json.Marshal(orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Model
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if math.IsNaN(r2) != math.IsNaN(got.R2) {
+			t.Fatalf("R2 %v came back as %v from %s", r2, got.R2, data)
+		}
+		got.R2, orig.R2 = 0, 0
+		if !reflect.DeepEqual(&got, orig) {
+			t.Fatalf("round trip changed the model:\n got %+v\nwant %+v", got, *orig)
+		}
+	}
+	var m Model
+	if err := json.Unmarshal([]byte(`{"smape":1,"r2":null}`), &m); err == nil {
+		t.Error("model without function accepted")
+	}
+	if err := json.Unmarshal([]byte(`{"function":7}`), &m); err == nil {
+		t.Error("malformed function accepted")
 	}
 }

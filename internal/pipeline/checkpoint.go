@@ -1,14 +1,13 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 
 	"extradeep/internal/measurement"
 	"extradeep/internal/modeling"
-	"extradeep/internal/pmnf"
 	"extradeep/internal/resilience"
 )
 
@@ -21,62 +20,6 @@ import (
 // campaign: a resumed run over the same store reuses every task whose
 // series and options are unchanged, so different profile sets share one
 // checkpoint directory and share their common tasks.
-
-// ckptModel is the serialized form of one fitted model inside a task
-// record, mirroring core's persisted model layout. JSON float64 encoding
-// round-trips exactly, so a model decoded from a checkpoint predicts —
-// and renders — byte-identically to the freshly fitted one.
-type ckptModel struct {
-	Function *pmnf.Function `json:"function"`
-	SMAPE    float64        `json:"smape"`
-	RSS      float64        `json:"rss"`
-	// R2 is null for models whose data had no variance (R² undefined).
-	R2             *float64            `json:"r2"`
-	RelResidualStd float64             `json:"rel_residual_std"`
-	Points         []measurement.Point `json:"points"`
-	Actual         []float64           `json:"actual"`
-}
-
-// encodeModel serializes a fitted model for a checkpoint task record.
-func encodeModel(m *modeling.Model) ([]byte, error) {
-	cm := ckptModel{
-		Function:       m.Function,
-		SMAPE:          m.SMAPE,
-		RSS:            m.RSS,
-		RelResidualStd: m.RelResidualStd,
-		Points:         m.Points,
-		Actual:         m.Actual,
-	}
-	if !math.IsNaN(m.R2) {
-		r2 := m.R2
-		cm.R2 = &r2
-	}
-	return json.Marshal(cm)
-}
-
-// decodeModel is the inverse of encodeModel.
-func decodeModel(data []byte) (*modeling.Model, error) {
-	var cm ckptModel
-	if err := json.Unmarshal(data, &cm); err != nil {
-		return nil, fmt.Errorf("pipeline: decoding checkpointed model: %w", err)
-	}
-	if cm.Function == nil {
-		return nil, errors.New("pipeline: checkpointed model without function")
-	}
-	r2 := math.NaN()
-	if cm.R2 != nil {
-		r2 = *cm.R2
-	}
-	return &modeling.Model{
-		Function:       cm.Function,
-		SMAPE:          cm.SMAPE,
-		RSS:            cm.RSS,
-		R2:             r2,
-		RelResidualStd: cm.RelResidualStd,
-		Points:         cm.Points,
-		Actual:         cm.Actual,
-	}, nil
-}
 
 // ckptSeries is the canonical serialization of a fit task's input series
 // for key derivation: the measurement points and every repetition value,
@@ -115,15 +58,6 @@ func fitTaskKey(t fitTask, opts modeling.Options) (string, error) {
 	), nil
 }
 
-// taskName renders the human-readable identity stored in task records.
-func (t fitTask) name() string {
-	kind := "kernel"
-	if t.app {
-		kind = "app"
-	}
-	return fmt.Sprintf("%s %s %s", kind, t.metric, t.path)
-}
-
 // ckptPlan is the fit stage's checkpoint context: the store and every
 // task's content key. A plan without a store reuses nothing and records
 // nothing.
@@ -152,31 +86,84 @@ func newCkptPlan(store *resilience.Store, tasks []fitTask, opts modeling.Options
 }
 
 // reuse returns the stored record for task i when resuming. Missing,
-// damaged or foreign records are all a miss, and a miss means a refit.
-func (p *ckptPlan) reuse(i int) (resilience.TaskRecord, bool) {
+// damaged or foreign records — including records in an older layout —
+// are all a miss, and a miss means a refit.
+func (p *ckptPlan) reuse(i int) (taskRecord, bool) {
 	if p.store == nil || !p.resume {
-		return resilience.TaskRecord{}, false
+		return taskRecord{}, false
 	}
 	payload, ok := p.store.Get(p.keys[i])
 	if !ok {
-		return resilience.TaskRecord{}, false
+		return taskRecord{}, false
 	}
-	rec, err := resilience.DecodeRecord(payload)
+	rec, err := decodeRecord(payload)
 	if err != nil || rec.Key != p.keys[i] {
-		return resilience.TaskRecord{}, false
+		return taskRecord{}, false
 	}
 	return rec, true
 }
 
 // record persists task i's completed record under its content key. Each
 // fit worker writes only its own task's key, so concurrent records need
-// no lock. Write failures are deliberately swallowed: checkpointing is an
-// optimization, never a reason to fail a run that is otherwise
-// succeeding.
-func (p *ckptPlan) record(i int, rec resilience.TaskRecord) {
+// no lock. Encode and write failures are deliberately swallowed:
+// checkpointing is an optimization, never a reason to fail a run that is
+// otherwise succeeding.
+func (p *ckptPlan) record(i int, rec taskRecord) {
 	if p.store == nil {
 		return
 	}
 	rec.Key = p.keys[i]
-	_ = p.store.Put(rec.Key, resilience.EncodeRecord(rec))
+	if payload, err := encodeRecord(rec); err == nil {
+		_ = p.store.Put(rec.Key, payload)
+	}
+}
+
+// taskRecord is one completed fit task as stored under its content key:
+// the fitted model, or the failure class and reason of a task that
+// produced none. Exactly one of Model and Class is set.
+type taskRecord struct {
+	// Key is the content hash of the task's inputs; resume matches on it,
+	// so a record stored under the wrong key is never reused.
+	Key    string          `json:"key"`
+	Model  *modeling.Model `json:"model,omitempty"`
+	Class  string          `json:"class,omitempty"`
+	Reason string          `json:"reason,omitempty"`
+}
+
+// encodeRecord serializes a task record in its one canonical form
+// (stable field order, the model in its persisted layout). It fails only
+// for a model holding a value JSON cannot carry, such as a NaN SMAPE.
+func encodeRecord(rec taskRecord) ([]byte, error) {
+	return json.Marshal(rec)
+}
+
+// decodeRecord validates and decodes a task-record payload. Anything
+// that is not exactly what encodeRecord writes for a keyed fitted or
+// skipped task errors — unknown fields (so a record in an older layout
+// or an older campaign-state file is never read as one), an empty key,
+// both or neither of model and class, an unknown class, a model without
+// a function, or non-canonical bytes anywhere, the model included — so
+// resume never proceeds from a record it could not have written itself.
+func decodeRecord(payload []byte) (taskRecord, error) {
+	var rec taskRecord
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
+		return taskRecord{}, fmt.Errorf("pipeline: decoding task record: %w", err)
+	}
+	if rec.Key == "" {
+		return taskRecord{}, errors.New("pipeline: task record has no key")
+	}
+	switch {
+	case rec.Model != nil && (rec.Class != "" || rec.Reason != ""):
+		return taskRecord{}, fmt.Errorf("pipeline: task %s record has both a model and a failure", rec.Key)
+	case rec.Model == nil && rec.Class == "":
+		return taskRecord{}, fmt.Errorf("pipeline: task %s record has neither a model nor a failure class", rec.Key)
+	case rec.Model == nil && rec.Class != FailurePanic && rec.Class != FailureDegraded && rec.Class != FailureUnmodelable:
+		return taskRecord{}, fmt.Errorf("pipeline: task %s has unknown failure class %q", rec.Key, rec.Class)
+	}
+	if enc, err := encodeRecord(rec); err != nil || !bytes.Equal(enc, payload) {
+		return taskRecord{}, fmt.Errorf("pipeline: task %s record is not canonically encoded", rec.Key)
+	}
+	return rec, nil
 }

@@ -235,9 +235,8 @@ func New(cfg Config) *Pipeline {
 	return &Pipeline{cfg: cfg, obs: cfg.Observer}
 }
 
-// Workers resolves the configured worker bound to a concrete count ≥ 1.
-func (p *Pipeline) Workers() int { return resolveWorkers(p.cfg.Workers) }
-
+// resolveWorkers resolves a configured worker bound to a concrete count
+// ≥ 1: zero or less means one per CPU.
 func resolveWorkers(w int) int {
 	if w <= 0 {
 		return runtime.GOMAXPROCS(0)

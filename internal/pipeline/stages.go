@@ -183,17 +183,13 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 		reused := make([]bool, len(tasks))
 		err = forEach(sctx, p.cfg.Workers, len(tasks), func(i int) error {
 			if rec, ok := plan.reuse(i); ok {
-				if rec.Status == resilience.StatusFitted {
-					if m, derr := decodeModel(rec.Payload); derr == nil {
-						models[i], reused[i] = m, true
-						return nil
-					}
-					// Damaged payload: recover to a miss and refit.
+				if rec.Model != nil {
+					models[i] = rec.Model
 				} else {
 					failures[i] = &FitFailure{Metric: string(tasks[i].metric), Callpath: tasks[i].path, App: tasks[i].app, Class: rec.Class, Reason: rec.Reason}
-					reused[i] = true
-					return nil
 				}
+				reused[i] = true
+				return nil
 			}
 			return p.fitOne(sctx, i, tasks[i], plan, models, failures)
 		})
@@ -264,7 +260,7 @@ func (p *Pipeline) BuildModels(ctx context.Context, aggs []*aggregate.ConfigAggr
 func (p *Pipeline) fitOne(ctx context.Context, i int, t fitTask, plan *ckptPlan, models []*modeling.Model, failures []*FitFailure) (err error) {
 	quarantine := func(class, reason string) {
 		failures[i] = &FitFailure{Metric: string(t.metric), Callpath: t.path, App: t.app, Class: class, Reason: reason}
-		plan.record(i, resilience.TaskRecord{Name: t.name(), Status: resilience.StatusSkipped, Class: class, Reason: reason})
+		plan.record(i, taskRecord{Class: class, Reason: reason})
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -289,10 +285,6 @@ func (p *Pipeline) fitOne(ctx context.Context, i int, t fitTask, plan *ckptPlan,
 		return nil
 	}
 	models[i] = m
-	if plan.store != nil {
-		if payload, perr := encodeModel(m); perr == nil {
-			plan.record(i, resilience.TaskRecord{Name: t.name(), Status: resilience.StatusFitted, Payload: payload})
-		}
-	}
+	plan.record(i, taskRecord{Model: m})
 	return nil
 }

@@ -3,8 +3,6 @@ package profile
 import (
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"extradeep/internal/faults"
@@ -42,8 +40,10 @@ func nonFinite(p *Profile) bool {
 }
 
 // FuzzProfileRead asserts the loader invariant on arbitrary file bytes:
-// Read returns either a valid, all-finite profile or an error — it never
-// panics and never smuggles NaN/Inf into the pipeline.
+// Decoder.Decode followed by Validate — the decode and validate stages
+// every profile file passes through in ingest — yields either a valid,
+// all-finite profile or an error. It never panics and never smuggles
+// NaN/Inf into the pipeline.
 func FuzzProfileRead(f *testing.F) {
 	valid, err := json.Marshal(validProfile(0, 1, 4))
 	if err != nil {
@@ -61,22 +61,17 @@ func FuzzProfileRead(f *testing.F) {
 	f.Add([]byte(`{"app":"x","params":["p"],"config":[1e308],"rank":0,"rep":1}`))
 	f.Add([]byte(`{"app":"x","rep":1,"trace":{"steps":[{"start":5,"end":1}]}}`))
 
-	// One scratch file per worker process: os.WriteFile truncates, so
-	// reusing the path is safe and keeps the fuzz loop I/O-light.
-	path := filepath.Join(f.TempDir(), "fuzz.json")
+	var d Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		p, err := Read(path)
+		p, err := d.Decode(data)
 		if err != nil {
 			return // rejected input: the other half of the invariant
 		}
-		if verr := p.Validate(); verr != nil {
-			t.Fatalf("Read accepted an invalid profile: %v", verr)
+		if p.Validate() != nil {
+			return // rejected by validation
 		}
 		if nonFinite(p) {
-			t.Fatalf("Read smuggled a non-finite value: %+v", p)
+			t.Fatalf("Decode+Validate smuggled a non-finite value: %+v", p)
 		}
 	})
 }

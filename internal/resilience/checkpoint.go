@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -132,65 +131,4 @@ func (s *Store) Put(key string, payload []byte) error {
 		return fmt.Errorf("resilience: committing checkpoint %s: %w", key, err)
 	}
 	return nil
-}
-
-// TaskRecord is one completed unit of a campaign: a fitted model, or a
-// quarantined/unmodelable unit with its failure class. Each record is
-// stored on its own under its Key, written once when the task completes.
-type TaskRecord struct {
-	// Key is the content hash of the task's inputs; resume matches on it,
-	// so a changed input can never reuse a stale result.
-	Key string `json:"key"`
-	// Name is the human-readable task identity, e.g. "time kern/conv1".
-	Name string `json:"name"`
-	// Status is "fitted" or "skipped".
-	Status string `json:"status"`
-	// Class is the failure class for skipped tasks ("panic", "degraded",
-	// "unmodelable").
-	Class string `json:"class,omitempty"`
-	// Reason is the failure detail for skipped tasks.
-	Reason string `json:"reason,omitempty"`
-	// Payload is the opaque encoded result for fitted tasks.
-	Payload []byte `json:"payload,omitempty"`
-}
-
-// Task-record statuses.
-const (
-	StatusFitted  = "fitted"
-	StatusSkipped = "skipped"
-)
-
-// EncodeRecord serializes a task record as the payload Store.Put stores
-// under the record's key. Encoding is deterministic (stable field order),
-// and it cannot fail: the record holds only strings and bytes.
-func EncodeRecord(rec TaskRecord) []byte {
-	b, _ := json.Marshal(rec)
-	return b
-}
-
-// DecodeRecord validates and decodes a task-record payload. Anything
-// that is not exactly what EncodeRecord writes for a keyed fitted or
-// skipped task errors — unknown fields (so an older campaign-state file
-// is never read as a record), an empty key, an unknown status, or
-// non-canonical bytes — so resume never proceeds from a record it could
-// not have written itself.
-func DecodeRecord(payload []byte) (TaskRecord, error) {
-	var rec TaskRecord
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rec); err != nil {
-		return TaskRecord{}, fmt.Errorf("resilience: decoding task record: %w", err)
-	}
-	if rec.Key == "" {
-		return TaskRecord{}, errors.New("resilience: task record has no key")
-	}
-	switch rec.Status {
-	case StatusFitted, StatusSkipped:
-	default:
-		return TaskRecord{}, fmt.Errorf("resilience: task %s has unknown status %q", rec.Key, rec.Status)
-	}
-	if !bytes.Equal(EncodeRecord(rec), payload) {
-		return TaskRecord{}, fmt.Errorf("resilience: task %s record is not canonically encoded", rec.Key)
-	}
-	return rec, nil
 }

@@ -2,13 +2,16 @@
 // error taxonomy (retryable / fatal / degraded), a seeded
 // exponential-backoff retrier that is deterministic under test clocks, a
 // deterministic runtime fault injector whose schedules are replayable
-// like EDCHECK_SEED recipes, and a content-hash-keyed checkpoint store
-// with atomic temp+rename writes, one record per completed task.
+// like EDCHECK_SEED recipes, and a content-hash-keyed checkpoint store:
+// Key derives a content key, and Store keeps one opaque payload per key
+// inside a SHA-256 digest envelope, written by atomic temp+rename.
 //
 // The package is stdlib-only and deliberately knows nothing about
-// profiles or models: the pipeline hands it opaque byte payloads and
-// string-named injection points, so the same machinery can guard any
-// staged computation. It is part of the edlint-policed deterministic
+// profiles, models or what a stored payload means: the fit stage keeps
+// its task-record layout next to its only user (pipeline's
+// checkpoint.go), and edbench stores rendered experiment output in the
+// same Store. Injection points are plain strings, so the same machinery
+// can guard any staged computation. It is part of the edlint-policed deterministic
 // core: nothing here may read the wall clock or draw randomness outside
 // the explicitly sanctioned sleep in WallClock.
 //
@@ -41,7 +44,7 @@ const (
 	ClassDegraded
 )
 
-// String names the class for reports and checkpoint records.
+// String names the class in error messages and fault schedules.
 func (c Class) String() string {
 	switch c {
 	case ClassFatal:
@@ -52,21 +55,6 @@ func (c Class) String() string {
 		return "degraded"
 	default:
 		return fmt.Sprintf("class(%d)", int(c))
-	}
-}
-
-// ParseClass is the inverse of Class.String, for schedule strings and
-// checkpoint decoding.
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "fatal":
-		return ClassFatal, nil
-	case "retryable":
-		return ClassRetryable, nil
-	case "degraded":
-		return ClassDegraded, nil
-	default:
-		return ClassFatal, fmt.Errorf("resilience: unknown failure class %q", s)
 	}
 }
 

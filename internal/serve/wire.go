@@ -41,7 +41,6 @@ type errorDetail struct {
 // ingest.Quarantined uses on disk).
 type fileDetail struct {
 	Index  int    `json:"index"`
-	Name   string `json:"name,omitempty"`
 	Stage  string `json:"stage"`
 	Reason string `json:"reason"`
 }

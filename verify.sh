@@ -266,13 +266,13 @@ fi
 # native-fuzzing burst on every loader fuzz target, the single-pass
 # profile decoder must keep matching encoding/json bit for bit and error
 # for error (FuzzProfileDecode), plus the checkpoint
-# decoder ("state round-trips or errors — a truncated or bit-flipped
-# state file must never panic or load silently wrong").
+# decoder ("a record round-trips or errors — a truncated or bit-flipped
+# record file must never panic or load silently wrong").
 begin fuzz test "fuzz smoke (5s per target)"
 go test -run='^$' -fuzz='^FuzzReadCSV$' -fuzztime=5s ./internal/importer
 go test -run='^$' -fuzz='^FuzzProfileRead$' -fuzztime=5s ./internal/profile
 go test -run='^$' -fuzz='^FuzzProfileDecode$' -fuzztime=5s ./internal/profile
 go test -run='^$' -fuzz='^FuzzParseFileName$' -fuzztime=5s ./internal/profile
-go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=5s ./internal/resilience
+go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=5s ./internal/pipeline
 
 echo "verify.sh: all gates passed"
