@@ -18,11 +18,24 @@
 // epoch extrapolation (Eq. 4) weighs them with different step counts.
 // The first epoch is treated as warm-up and excluded, mirroring the
 // paper's handling of framework initialization effects.
+//
+// A kernel is keyed by its callpath, or its name when the callpath is
+// empty, and takes the kind and name of its last kept event. Memory
+// operations carry bytes besides time and visits. A key that mixes kinds
+// has per-step bytes in a trace's phase if any of its events there is a
+// memory operation, takes the rank median of bytes over the ranks that
+// have them, and keeps bytes for a repetition (and overall) only if its
+// kind at that point is a memory kind. A kernel absent from a repetition
+// contributes zero to the repetition median. Keys get dense int32 IDs in
+// first-seen order that index flat tables (DESIGN.md §18).
 package aggregate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"extradeep/internal/calltree"
@@ -124,137 +137,245 @@ func kernelKey(e trace.Event) string {
 	return e.Name
 }
 
-// metricValue extracts the value of metric m from an event: duration for
-// time, 1 for visits, transferred bytes for bytes.
-func metricValue(e trace.Event, m measurement.Metric) float64 {
-	switch m {
-	case measurement.MetricTime:
-		return e.Duration
-	case measurement.MetricVisits:
-		return e.Visits()
-	case measurement.MetricBytes:
-		return e.Bytes
-	default:
-		return 0
-	}
-}
+// Metric slots of the dense tables. Every row stores all three at a fixed
+// stride; a kind records the first metricCount of them.
+const (
+	slotTime = iota
+	slotVisits
+	slotBytes
+	nSlots
+)
 
-// metricsFor returns the metrics recorded for a kernel kind: memory
-// operations additionally carry transferred bytes.
-func metricsFor(kind calltree.Kind) []measurement.Metric {
+// slotMetric names the metric each slot holds.
+var slotMetric = [nSlots]measurement.Metric{measurement.MetricTime, measurement.MetricVisits, measurement.MetricBytes}
+
+// metricCount returns how many leading slots a kernel kind records:
+// memory operations additionally carry transferred bytes.
+func metricCount(kind calltree.Kind) int {
 	if calltree.CategoryOf(kind) == calltree.CategoryMemory {
-		return []measurement.Metric{measurement.MetricTime, measurement.MetricVisits, measurement.MetricBytes}
+		return nSlots
 	}
-	return []measurement.Metric{measurement.MetricTime, measurement.MetricVisits}
+	return slotBytes
 }
 
-// reduce aggregates a slice with median (default) or mean.
-func reduce(xs []float64, useMean bool) float64 {
-	if len(xs) == 0 {
-		return 0
+// kernel is the per-call state of one dense kernel ID.
+type kernel struct {
+	key, name string
+	kind      calltree.Kind // of the last kept event so far
+	observed  int           // StepsObserved
+	row       [2]int32      // row per phase in the current trace, -1 if none
+	bytes     [2]bool       // whether that row saw a memory operation
+}
+
+// slot places a step in the per-phase tables: its phase and its position
+// among that phase's kept steps. pos is -1 for a step of a skipped epoch
+// or of no known phase.
+type slot struct{ phase, pos int32 }
+
+// phaseTable holds step (1)'s sums for one trace and phase at
+// sums[(row*nSlots+slot)*steps+pos].
+type phaseTable struct {
+	steps int
+	ids   []int32 // kernel per row
+	sums  []float64
+}
+
+// dense is the state of one Aggregate call. The rank tables are indexed by
+// group g = id*2+phase and the profile's position within its repetition
+// (stride: the widest repetition); repVals by id, slot and repetition.
+type dense struct {
+	useMean     bool
+	reps        int
+	ranks       int   // widest repetition
+	rankIDs     []int // distinct ranks of the call, sorted
+	rankWords   int   // uint64 words per ID in onRank
+	ids         map[string]int32
+	kernels     []kernel
+	slots       []slot
+	phases      [2]phaseTable
+	rankVals    []float64   // ṽ_kr of the current repetition
+	rankN       []uint8     // slots recorded per (g, position); 0 when absent
+	onRank      []uint64    // per ID, the set of ranks it was observed on
+	repVals     []StepValue // Ṽ_r, the backing array of every PerRep
+	buf, sorted []float64
+}
+
+// grow extends xs with zero values to length n.
+func grow[T any](xs []T, n int) []T {
+	if n <= len(xs) {
+		return xs
 	}
-	if useMean {
-		m, _ := mathutil.Mean(xs) // non-empty by the guard above
+	//edlint:ignore allocloop the make is folded into append's growslice, which allocates only when a reused table outgrows its capacity
+	return append(xs, make([]T, n-len(xs))...)
+}
+
+// reduce returns the mean of xs, summed in order, or the median of a
+// sorted scratch copy (mathutil.Median's bits); 0 for no values.
+func (d *dense) reduce(xs []float64) float64 {
+	if d.useMean {
+		m, _ := mathutil.Mean(xs)
 		return m
 	}
-	m, _ := mathutil.Median(xs) // non-empty by the guard above
+	d.sorted = append(d.sorted[:0], xs...)
+	m, _ := mathutil.MedianInPlace(d.sorted)
 	return m
 }
 
-// perStepSums computes step (1) of the pipeline for one trace: for every
-// kernel and metric, the per-step sums v_n, separated by phase. Steps of
-// skipped (warm-up) epochs are excluded. Asynchronous events between steps
-// are attributed to the following step.
-type stepSums struct {
-	// sums maps kernel key → metric → per-step values (aligned with the
-	// kept step indices of that phase).
-	train, validation map[string]map[measurement.Metric][]float64
-	kinds             map[string]calltree.Kind
-	names             map[string]string
-	observed          map[string]int // steps with ≥1 event, per kernel
+// slotSteps places each step of tr in the per-phase tables, in one pass,
+// and returns the kept train and validation step counts.
+func (d *dense) slotSteps(tr *trace.Trace, skipEpochs []int) (train, val int) {
+	var n [2]int32
+	d.slots = d.slots[:0]
+	for _, st := range tr.Steps {
+		sl := slot{pos: -1}
+		if (st.Phase == trace.PhaseTrain || st.Phase == trace.PhaseValidation) && !slices.Contains(skipEpochs, st.Epoch) {
+			sl = slot{phase: int32(st.Phase), pos: n[st.Phase]}
+			n[st.Phase]++
+		}
+		d.slots = append(d.slots, sl)
+	}
+	d.phases[0].steps, d.phases[1].steps = int(n[0]), int(n[1])
+	return int(n[0]), int(n[1])
 }
 
-func perStepSums(tr *trace.Trace, skipEpochs []int, trainIdx, valIdx []int) stepSums {
-	s := stepSums{
-		train:      make(map[string]map[measurement.Metric][]float64),
-		validation: make(map[string]map[measurement.Metric][]float64),
-		kinds:      make(map[string]calltree.Kind),
-		names:      make(map[string]string),
-		observed:   make(map[string]int),
-	}
-	skip := make(map[int]bool, len(skipEpochs))
-	for _, e := range skipEpochs {
-		skip[e] = true
-	}
-	// Map global step index → (phase, position within kept steps).
-	type slot struct {
-		phase trace.Phase
-		pos   int
-	}
-	slots := make(map[int]slot, len(trainIdx)+len(valIdx))
-	for pos, i := range trainIdx {
-		slots[i] = slot{trace.PhaseTrain, pos}
-	}
-	for pos, i := range valIdx {
-		slots[i] = slot{trace.PhaseValidation, pos}
-	}
-
-	ensure := func(m map[string]map[measurement.Metric][]float64, key string, kind calltree.Kind, n int) map[measurement.Metric][]float64 {
-		byMetric := m[key]
-		if byMetric == nil {
-			byMetric = make(map[measurement.Metric][]float64)
-			for _, metric := range metricsFor(kind) {
-				byMetric[metric] = make([]float64, n)
-			}
-			m[key] = byMetric
-		}
-		return byMetric
-	}
-
-	// Track which (kernel, step) pairs saw events, to count observations.
-	type obsKey struct {
-		kernel string
-		step   int
-	}
-	seen := make(map[obsKey]bool)
-
-	for _, e := range tr.Events {
-		stepIdx := tr.StepOf(e.Start)
-		if stepIdx == -1 {
-			// Asynchronous kernel: attribute to the following step, per
-			// the paper's between-step handling.
-			stepIdx = tr.FollowingStep(e.Start)
-			if stepIdx == -1 {
+// sumSteps is step (1) for one trace: it adds every kept event's metrics
+// to its kernel's row at its step, in trace order, so each sum runs the
+// same additions in the same order as one per (kernel, step, metric).
+// Events need not be sorted: each is placed by its own step lookup.
+//
+//edlint:hotpath the per-event loop runs once per kernel event of every aggregated profile
+func (d *dense) sumSteps(tr *trace.Trace) {
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		step := tr.StepOf(e.Start)
+		if step == -1 {
+			// Asynchronous kernel: attribute it to the following step,
+			// per the paper's between-step handling.
+			if step = tr.FollowingStep(e.Start); step == -1 {
 				continue // after the last step: outside the profiled window
 			}
 		}
-		st := tr.Steps[stepIdx]
-		if skip[st.Epoch] {
+		sl := d.slots[step]
+		if sl.pos < 0 {
 			continue
 		}
-		sl, ok := slots[stepIdx]
-		if !ok {
-			continue
+		key := kernelKey(*e)
+		id, ok := d.ids[key]
+		if !ok { // first sight: the next dense ID
+			id = int32(len(d.kernels))
+			d.ids[key] = id
+			d.kernels = append(d.kernels, kernel{key: key, row: [2]int32{-1, -1}}) //edlint:ignore prealloc once per distinct key, not per event
 		}
-		key := kernelKey(e)
-		s.kinds[key] = e.Kind
-		s.names[key] = e.Name
-		var byMetric map[measurement.Metric][]float64
-		if sl.phase == trace.PhaseTrain {
-			byMetric = ensure(s.train, key, e.Kind, len(trainIdx))
-		} else {
-			byMetric = ensure(s.validation, key, e.Kind, len(valIdx))
+		k := &d.kernels[id]
+		k.kind, k.name = e.Kind, e.Name
+		t := &d.phases[sl.phase]
+		if k.row[sl.phase] < 0 {
+			k.row[sl.phase] = int32(len(t.ids))
+			t.ids = append(t.ids, id) //edlint:ignore prealloc once per kernel and phase of a trace; reused across traces
+			t.sums = grow(t.sums, len(t.ids)*nSlots*t.steps)
 		}
-		for _, metric := range metricsFor(e.Kind) {
-			byMetric[metric][sl.pos] += metricValue(e, metric)
-		}
-		ok2 := obsKey{kernel: key, step: stepIdx}
-		if !seen[ok2] {
-			seen[ok2] = true
-			s.observed[key]++
+		at := int(k.row[sl.phase])*nSlots*t.steps + int(sl.pos)
+		t.sums[at+slotTime*t.steps] += e.Duration
+		t.sums[at+slotVisits*t.steps] += e.Visits()
+		if calltree.CategoryOf(e.Kind) == calltree.CategoryMemory {
+			t.sums[at+slotBytes*t.steps] += e.Bytes
+			k.bytes[sl.phase] = true
 		}
 	}
-	return s
+}
+
+// reduceSteps reduces the current trace's rows over their kept steps into
+// ṽ_kr, stored at the profile's position pos within its repetition. It
+// also counts each kernel's observed steps (a step's visits sum is ≥ 1
+// exactly when the kernel ran in it) and marks its rank, then empties the
+// per-phase tables for the next trace.
+func (d *dense) reduceSteps(pos, rank int) {
+	d.rankVals = grow(d.rankVals, len(d.kernels)*2*nSlots*d.ranks)
+	d.rankN = grow(d.rankN, len(d.kernels)*2*d.ranks)
+	d.onRank = grow(d.onRank, len(d.kernels)*d.rankWords)
+	bit := sort.SearchInts(d.rankIDs, rank)
+	for p := range d.phases {
+		t := &d.phases[p]
+		for row, id := range t.ids {
+			k := &d.kernels[id]
+			n := slotBytes
+			if k.bytes[p] {
+				n = nSlots
+			}
+			g := int(id)*2 + p
+			d.rankN[g*d.ranks+pos] = uint8(n)
+			for s := 0; s < n; s++ {
+				d.rankVals[(g*nSlots+s)*d.ranks+pos] = d.reduce(t.sums[(row*nSlots+s)*t.steps:][:t.steps])
+			}
+			for _, v := range t.sums[(row*nSlots+slotVisits)*t.steps:][:t.steps] {
+				if v > 0 {
+					k.observed++
+				}
+			}
+			d.onRank[int(id)*d.rankWords+bit/64] |= 1 << (bit % 64)
+			k.row[p], k.bytes[p] = -1, false
+		}
+		t.ids, t.sums = t.ids[:0], t.sums[:0]
+	}
+}
+
+// reduceRanks is step (2) for repetition r: per kernel, per slot its kind
+// records as of the end of r, and per phase, the median over the ranks
+// that recorded the slot. A kernel absent from r, and a slot no rank
+// recorded, get zero.
+func (d *dense) reduceRanks(r int) {
+	d.repVals = grow(d.repVals, len(d.kernels)*nSlots*d.reps)
+	for id := range d.kernels {
+		for s := 0; s < metricCount(d.kernels[id].kind); s++ {
+			d.repVals[(id*nSlots+s)*d.reps+r] = StepValue{Train: d.rankMedian(id*2, s), Validation: d.rankMedian(id*2+1, s)}
+		}
+	}
+	clear(d.rankN)
+}
+
+// rankMedian reduces group g's slot s over the ranks that recorded it, in
+// rank order.
+func (d *dense) rankMedian(g, s int) float64 {
+	vals := d.rankVals[(g*nSlots+s)*d.ranks:][:d.ranks]
+	d.buf = d.buf[:0]
+	for pos, n := range d.rankN[g*d.ranks:][:d.ranks] {
+		if s < int(n) {
+			d.buf = append(d.buf, vals[pos])
+		}
+	}
+	return d.reduce(d.buf)
+}
+
+// kernelAggregate is step (3) for one kernel: per slot its final kind
+// records, the median over repetitions.
+func (d *dense) kernelAggregate(id int) *KernelAggregate {
+	k := &d.kernels[id]
+	n := metricCount(k.kind)
+	ka := &KernelAggregate{
+		Callpath:      k.key,
+		Name:          k.name,
+		Kind:          k.kind,
+		PerRep:        make(map[measurement.Metric][]StepValue, n),
+		Value:         make(map[measurement.Metric]StepValue, n),
+		StepsObserved: k.observed,
+	}
+	for _, w := range d.onRank[id*d.rankWords:][:d.rankWords] {
+		ka.Ranks += bits.OnesCount64(w)
+	}
+	for s := 0; s < n; s++ {
+		at := (id*nSlots + s) * d.reps
+		perRep := d.repVals[at : at+d.reps : at+d.reps]
+		d.buf = d.buf[:0]
+		for _, sv := range perRep {
+			d.buf = append(d.buf, sv.Train)
+		}
+		for _, sv := range perRep {
+			d.buf = append(d.buf, sv.Validation)
+		}
+		ka.PerRep[slotMetric[s]] = perRep
+		ka.Value[slotMetric[s]] = StepValue{Train: d.reduce(d.buf[:d.reps]), Validation: d.reduce(d.buf[d.reps:])}
+	}
+	return ka
 }
 
 // Aggregate runs the full pipeline on the profiles of one application
@@ -273,143 +394,49 @@ func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, err
 	}
 
 	// Group by repetition, then by rank.
+	d := &dense{useMean: opts.UseMean, ids: make(map[string]int32)}
 	byRep := make(map[int][]*profile.Profile)
 	for _, p := range profiles {
 		byRep[p.Rep] = append(byRep[p.Rep], p)
+		d.rankIDs = append(d.rankIDs, p.Rank)
 	}
 	reps := make([]int, 0, len(byRep))
-	for r := range byRep {
+	for r, group := range byRep {
 		reps = append(reps, r)
+		d.ranks = max(d.ranks, len(group))
 	}
 	sort.Ints(reps)
+	slices.Sort(d.rankIDs)
+	d.rankIDs = slices.Compact(d.rankIDs)
+	d.reps, d.rankWords = len(reps), (len(d.rankIDs)+63)/64
 
 	agg := &ConfigAggregate{
 		App:              first.App,
 		Params:           append([]string(nil), first.Params...),
 		Point:            measurement.Point(first.Config).Clone(),
-		Kernels:          make(map[string]*KernelAggregate),
 		Categories:       make(map[calltree.Category]map[measurement.Metric]StepValue),
 		CategoriesPerRep: make(map[calltree.Category]map[measurement.Metric][]StepValue),
 		Reps:             len(reps),
+		WallTimes:        make([]float64, 0, len(profiles)),
 	}
-
-	// perRankValues[key][metric] collects, for the current repetition,
-	// the per-rank reduced (median-over-steps) values.
-	type repResult struct {
-		values map[string]map[measurement.Metric]StepValue
-	}
-	var repResults []repResult
-	kinds := make(map[string]calltree.Kind)
-	names := make(map[string]string)
-	rankSets := make(map[string]map[int]bool)
-	stepsObserved := make(map[string]int)
-
-	for _, rep := range reps {
+	for r, rep := range reps {
 		group := byRep[rep]
-		sort.SliceStable(group, func(i, j int) bool { return group[i].Rank < group[j].Rank })
-		// perRank[key][metric] → per-rank slice of ṽ_kr values.
-		perRankTrain := make(map[string]map[measurement.Metric][]float64)
-		perRankVal := make(map[string]map[measurement.Metric][]float64)
-
-		for _, p := range group {
+		slices.SortStableFunc(group, func(a, b *profile.Profile) int { return cmp.Compare(a.Rank, b.Rank) })
+		for pos, p := range group {
 			tr := &p.Trace
-			skipEpochs := warmupEpochs(tr, opts.SkipWarmupEpochs)
-			trainIdx := tr.StepsOfPhase(trace.PhaseTrain, skipEpochs...)
-			valIdx := tr.StepsOfPhase(trace.PhaseValidation, skipEpochs...)
+			train, val := d.slotSteps(tr, warmupEpochs(tr, opts.SkipWarmupEpochs))
 			if agg.TrainSteps == 0 && p.Rank == 0 {
-				agg.TrainSteps = len(trainIdx)
-				agg.ValidationSteps = len(valIdx)
+				agg.TrainSteps, agg.ValidationSteps = train, val
 			}
-			sums := perStepSums(tr, skipEpochs, trainIdx, valIdx)
-			for _, key := range sortedCallpathKeys(sums.train) {
-				byMetric := sums.train[key]
-				kinds[key] = sums.kinds[key]
-				names[key] = sums.names[key]
-				addRankValue(perRankTrain, key, byMetric, opts.UseMean)
-			}
-			for _, key := range sortedCallpathKeys(sums.validation) {
-				byMetric := sums.validation[key]
-				kinds[key] = sums.kinds[key]
-				names[key] = sums.names[key]
-				addRankValue(perRankVal, key, byMetric, opts.UseMean)
-			}
-			for key, n := range sums.observed {
-				stepsObserved[key] += n
-				rs := rankSets[key]
-				if rs == nil {
-					rs = make(map[int]bool)
-					rankSets[key] = rs
-				}
-				rs[p.Rank] = true
-			}
+			d.sumSteps(tr)
+			d.reduceSteps(pos, p.Rank)
 			agg.WallTimes = append(agg.WallTimes, p.WallTime)
 		}
-
-		// Step (2): median over ranks.
-		rr := repResult{values: make(map[string]map[measurement.Metric]StepValue)}
-		allKeys := make(map[string]bool)
-		for k := range perRankTrain {
-			allKeys[k] = true
-		}
-		for k := range perRankVal {
-			allKeys[k] = true
-		}
-		for key := range allKeys {
-			byMetric := make(map[measurement.Metric]StepValue)
-			for _, metric := range metricsFor(kinds[key]) {
-				var sv StepValue
-				if vs, ok := perRankTrain[key]; ok {
-					sv.Train = reduce(vs[metric], opts.UseMean)
-				}
-				if vs, ok := perRankVal[key]; ok {
-					sv.Validation = reduce(vs[metric], opts.UseMean)
-				}
-				byMetric[metric] = sv
-			}
-			rr.values[key] = byMetric
-		}
-		repResults = append(repResults, rr)
+		d.reduceRanks(r)
 	}
-
-	// Step (3): median over repetitions; assemble kernel aggregates.
-	allKeys := make(map[string]bool)
-	for _, rr := range repResults {
-		for k := range rr.values {
-			allKeys[k] = true
-		}
-	}
-	for key := range allKeys {
-		k := &KernelAggregate{
-			Callpath:      key,
-			Name:          names[key],
-			Kind:          kinds[key],
-			PerRep:        make(map[measurement.Metric][]StepValue),
-			Value:         make(map[measurement.Metric]StepValue),
-			Ranks:         len(rankSets[key]),
-			StepsObserved: stepsObserved[key],
-		}
-		for _, metric := range metricsFor(k.Kind) {
-			perRep := make([]StepValue, 0, len(repResults))
-			for _, rr := range repResults {
-				if byMetric, ok := rr.values[key]; ok {
-					perRep = append(perRep, byMetric[metric])
-				} else {
-					perRep = append(perRep, StepValue{})
-				}
-			}
-			k.PerRep[metric] = perRep
-			trainVals := make([]float64, len(perRep))
-			valVals := make([]float64, len(perRep))
-			for i, sv := range perRep {
-				trainVals[i] = sv.Train
-				valVals[i] = sv.Validation
-			}
-			k.Value[metric] = StepValue{
-				Train:      reduce(trainVals, opts.UseMean),
-				Validation: reduce(valVals, opts.UseMean),
-			}
-		}
-		agg.Kernels[key] = k
+	agg.Kernels = make(map[string]*KernelAggregate, len(d.kernels))
+	for id := range d.kernels {
+		agg.Kernels[d.kernels[id].key] = d.kernelAggregate(id)
 	}
 
 	// Category sums (Eq. 6 inputs): sum the member kernels' aggregates.
@@ -435,41 +462,14 @@ func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, err
 			perRep := perRepByMetric[metric]
 			if perRep == nil {
 				perRep = make([]StepValue, agg.Reps)
+				perRepByMetric[metric] = perRep
 			}
 			for i, rv := range k.PerRep[metric] {
-				if i < len(perRep) {
-					perRep[i] = perRep[i].Add(rv)
-				}
+				perRep[i] = perRep[i].Add(rv)
 			}
-			perRepByMetric[metric] = perRep
 		}
 	}
 	return agg, nil
-}
-
-// sortedCallpathKeys returns m's callpath keys in sorted order, so
-// per-rank accumulation visits kernels deterministically regardless of
-// map iteration order.
-func sortedCallpathKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// addRankValue reduces per-step sums to one value per rank (step (2)'s
-// input ṽ_kr) and appends it to the per-rank collection.
-func addRankValue(perRank map[string]map[measurement.Metric][]float64, key string, byMetric map[measurement.Metric][]float64, useMean bool) {
-	dst := perRank[key]
-	if dst == nil {
-		dst = make(map[measurement.Metric][]float64)
-		perRank[key] = dst
-	}
-	for metric, stepVals := range byMetric {
-		dst[metric] = append(dst[metric], reduce(stepVals, useMean))
-	}
 }
 
 // warmupEpochs returns the epoch indices to skip: the first `skip` epochs,

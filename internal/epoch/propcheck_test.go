@@ -9,14 +9,13 @@ import (
 	"extradeep/internal/aggregate"
 	"extradeep/internal/epoch"
 	"extradeep/internal/propcheck"
-	"extradeep/internal/propcheck/edgen"
 )
 
 // TestPropStepsMatchBigIntOracle: the float floor arithmetic of Eqs. 2–3,
 // n = ⌊D/(G/M)/B⌋, agrees with exact big-int division D·M ÷ (G·B) across
-// the generated parameter range (edgen bounds it so both sides are exact).
+// the generated parameter range (epochParams bounds it so both sides are exact).
 func TestPropStepsMatchBigIntOracle(t *testing.T) {
-	propcheck.Check(t, edgen.EpochParams(), func(p epoch.Params) error {
+	propcheck.Check(t, epochParams(), func(p epoch.Params) error {
 		for _, c := range []struct {
 			phase   string
 			samples float64
@@ -44,7 +43,7 @@ type stepDelta struct {
 }
 
 func stepDeltaGen() propcheck.Gen[stepDelta] {
-	pg := edgen.EpochParams()
+	pg := epochParams()
 	return propcheck.Gen[stepDelta]{
 		Generate: func(r *propcheck.Rand) stepDelta {
 			return stepDelta{p: pg.Generate(r), f: float64(r.IntRange(1, 8))}
@@ -107,7 +106,7 @@ type kernelCase struct {
 }
 
 func kernelCaseGen() propcheck.Gen[kernelCase] {
-	pg := edgen.EpochParams()
+	pg := epochParams()
 	fg := propcheck.Float64Range(-1e6, 1e6)
 	return propcheck.Gen[kernelCase]{
 		Generate: func(r *propcheck.Rand) kernelCase {
@@ -186,4 +185,77 @@ func TestPropWeakScalingStepInvariance(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestPropEpochParamsWithinOracleRange: generated setups validate, keep M
+// dividing G, and stay inside the exactly-representable float range the
+// big-int oracle comparison relies on.
+func TestPropEpochParamsWithinOracleRange(t *testing.T) {
+	propcheck.Check(t, epochParams(), func(p epoch.Params) error {
+		if err := p.Validate(); err != nil {
+			return err
+		}
+		if math.Mod(p.DataParallel, p.ModelParallel) != 0 {
+			return fmt.Errorf("M=%g does not divide G=%g", p.ModelParallel, p.DataParallel)
+		}
+		for _, v := range []float64{p.BatchSize, p.TrainSamples, p.ValSamples, p.DataParallel, p.ModelParallel} {
+			//edlint:ignore floateq integrality check: a generated count must be exactly its own truncation
+			if v != math.Trunc(v) || v > 1e9 {
+				return fmt.Errorf("value %g outside the exact integer range", v)
+			}
+		}
+		return nil
+	})
+}
+
+// epochParams generates valid training-setup parameters within the exact
+// float range of Eqs. 2–4: B ∈ [1,1024], D_t ≤ 1e9, D_v ≤ 1e7, M ∈
+// {1,2,4,8} and G a multiple of M with G/M ≤ 4096 — so the floor
+// arithmetic is exactly representable and comparable against a big-int
+// oracle. Shrinking reduces the dataset sizes and parallel degrees.
+func epochParams() propcheck.Gen[epoch.Params] {
+	return propcheck.Gen[epoch.Params]{
+		Generate: func(r *propcheck.Rand) epoch.Params {
+			m := float64(int64(1) << r.IntRange(0, 3)) // 1, 2, 4, 8
+			return epoch.Params{
+				BatchSize:     float64(r.IntRange(1, 1024)),
+				TrainSamples:  float64(r.Int64Range(0, 1_000_000_000)),
+				ValSamples:    float64(r.Int64Range(0, 10_000_000)),
+				DataParallel:  m * float64(r.IntRange(1, 4096)),
+				ModelParallel: m,
+			}
+		},
+		Shrink: func(p epoch.Params) []epoch.Params {
+			var out []epoch.Params
+			add := func(q epoch.Params) {
+				if q.Validate() == nil && q != p {
+					out = append(out, q)
+				}
+			}
+			q := p
+			q.TrainSamples = 0
+			add(q)
+			q = p
+			q.TrainSamples = float64(int64(p.TrainSamples) / 2)
+			add(q)
+			q = p
+			q.ValSamples = 0
+			add(q)
+			q = p
+			q.BatchSize = 1
+			add(q)
+			q = p
+			q.DataParallel = p.ModelParallel
+			add(q)
+			q = p
+			//edlint:ignore divguard ModelParallel is generated as 1<<k with k ≥ 0, never zero
+			q.DataParallel, q.ModelParallel = p.DataParallel/p.ModelParallel, 1
+			add(q)
+			return out
+		},
+		Describe: func(p epoch.Params) string {
+			return fmt.Sprintf("Params{B=%g Dt=%g Dv=%g G=%g M=%g}",
+				p.BatchSize, p.TrainSamples, p.ValSamples, p.DataParallel, p.ModelParallel)
+		},
+	}
 }

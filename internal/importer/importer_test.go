@@ -3,8 +3,6 @@ package importer
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -158,23 +156,6 @@ func TestReadCSVErrorsCarryFileLine(t *testing.T) {
 	}
 }
 
-func TestReadCSVFileErrorCarriesPathAndLine(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "broken.csv")
-	bad := sampleCSV + "event,x,cuda,cp,0.0,notanumber,,\n"
-	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadCSVFile(path)
-	if err == nil {
-		t.Fatal("broken file accepted")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, path) || !strings.Contains(msg, "line 16") {
-		t.Errorf("error lacks path:line location: %v", msg)
-	}
-}
-
 func TestReadCSVRejectsNonFiniteMetrics(t *testing.T) {
 	cases := []string{
 		"event,x,cuda,cp,NaN,0.1,,\n",
@@ -262,11 +243,5 @@ func TestRoundTripSimulatedProfile(t *testing.T) {
 	}
 	if len(got.Trace.Steps) != len(profiles[0].Trace.Steps) {
 		t.Errorf("steps: %d vs %d", len(got.Trace.Steps), len(profiles[0].Trace.Steps))
-	}
-}
-
-func TestReadCSVFileMissing(t *testing.T) {
-	if _, err := ReadCSVFile(filepath.Join(t.TempDir(), "nope.csv")); err == nil {
-		t.Error("missing file accepted")
 	}
 }

@@ -56,18 +56,23 @@ func MeanErr(xs []float64) (float64, error) {
 // (Fig. 2 of the paper): values are reduced step→rank→repetition by medians
 // because medians resist the heavy-tailed noise of individual kernel timings.
 func Median(xs []float64) (float64, bool) {
+	return MedianInPlace(append([]float64(nil), xs...))
+}
+
+// MedianInPlace is Median for callers that own xs: it sorts xs instead of
+// a copy, so a reused scratch buffer makes the median allocation-free.
+func MedianInPlace(xs []float64) (float64, bool) {
 	if len(xs) == 0 {
 		return 0, false
 	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	n := len(tmp)
+	sort.Float64s(xs)
+	n := len(xs)
 	if n%2 == 1 {
-		return tmp[n/2], true
+		return xs[n/2], true
 	}
 	// Halve before adding so that two near-max-magnitude values of the
 	// same sign do not overflow to ±Inf.
-	return tmp[n/2-1]/2 + tmp[n/2]/2, true
+	return xs[n/2-1]/2 + xs[n/2]/2, true
 }
 
 // MedianErr is Median with an error instead of a bool, for call sites that

@@ -20,6 +20,12 @@ import (
 // returns, and ctx.Err() is returned. When a task returns an error, the
 // remaining tasks are cancelled and the error with the smallest task
 // index among the tasks that ran is returned.
+//
+// Panic contract: a panicking task panics forEach on the calling
+// goroutine, at every worker count. With workers > 1 the first panic is
+// captured, the pool drains as on an error, and the value is re-panicked
+// after every worker has exited, so a caller's recover (stageAttempt's
+// "stage panicked") sees it instead of the process dying.
 func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -47,11 +53,21 @@ func forEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	defer cancel()
 	tasks := make(chan int)
 	errs := make([]error, n) // one slot per task: no locking, no ordering races
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		panicked sync.Once
+		panicVal any
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.Do(func() { panicVal = r })
+					cancel()
+				}
+			}()
 			for i := range tasks {
 				if poolCtx.Err() != nil {
 					return
@@ -73,6 +89,10 @@ feed:
 	}
 	close(tasks)
 	wg.Wait()
+	if panicVal != nil {
+		//edlint:ignore libpanic re-raises a task's panic on the calling goroutine, where stageAttempt recovers it as a ClassFatal error
+		panic(panicVal)
+	}
 
 	// The enclosing context's cancellation outranks task errors: a caller
 	// that cancelled mid-run must see its own ctx.Err(), not whichever

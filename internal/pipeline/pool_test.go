@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"extradeep/internal/resilience"
 )
 
 func TestForEachRunsEveryTaskOnce(t *testing.T) {
@@ -98,6 +100,55 @@ func TestForEachCancellationStopsPromptly(t *testing.T) {
 		}
 	}
 	assertNoGoroutineLeak(t, before)
+}
+
+// TestForEachPanicReachesCaller: a panicking task panics forEach on the
+// calling goroutine with the task's value at every worker count, after
+// every worker has exited, so the stage's recover turns it into an error
+// instead of the process dying.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			_ = forEach(context.Background(), workers, 100, func(i int) error {
+				if i == 7 {
+					panic("task 7 exploded")
+				}
+				return nil
+			})
+			return nil
+		}()
+		if got != "task 7 exploded" {
+			t.Errorf("workers=%d: caller recovered %v, want the task's panic value", workers, got)
+		}
+	}
+	assertNoGoroutineLeak(t, before)
+}
+
+// TestStagePanicIsFatalAtEveryWorkerCount: a task panic inside a
+// fanned-out stage surfaces as the same ClassFatal "stage panicked" error
+// at -j 1 and -j 4.
+func TestStagePanicIsFatalAtEveryWorkerCount(t *testing.T) {
+	var msgs []string
+	for _, workers := range []int{1, 4} {
+		p := New(Config{Workers: workers})
+		err := p.runStage(context.Background(), StageAggregate, func(ctx context.Context) (Counters, error) {
+			return nil, forEach(ctx, p.cfg.Workers, 10, func(i int) error {
+				if i == 3 {
+					panic("boom")
+				}
+				return nil
+			})
+		})
+		if resilience.ClassOf(err) != resilience.ClassFatal {
+			t.Fatalf("workers=%d: err = %v, want a fatal error", workers, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("error differs by worker count: %q vs %q", msgs[0], msgs[1])
+	}
 }
 
 // assertNoGoroutineLeak polls until the goroutine count returns to (or

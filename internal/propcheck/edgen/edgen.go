@@ -1,16 +1,17 @@
 // Package edgen provides propcheck generators for Extra-Deep's domain
-// types: measurement points, training-setup parameters, per-rank traces
-// with NVTX step/epoch spans, and profile sets following the canonical
-// app.x{config}.mpi{rank}.r{rep} naming. Every generated value satisfies
-// the type's own Validate contract, so invariant suites probe behaviour
-// on valid inputs rather than tripping over boundary rejections.
+// types: measurement points, per-rank traces with NVTX step/epoch spans,
+// and profile sets following the canonical app.x{config}.mpi{rank}.r{rep}
+// naming. Every generated value satisfies the type's own Validate
+// contract, so invariant suites probe behaviour on valid inputs rather
+// than tripping over boundary rejections. It imports nothing above the
+// profile layer, so the aggregation and epoch packages can use it from
+// their in-package tests.
 package edgen
 
 import (
 	"fmt"
 
 	"extradeep/internal/calltree"
-	"extradeep/internal/epoch"
 	"extradeep/internal/measurement"
 	"extradeep/internal/profile"
 	"extradeep/internal/propcheck"
@@ -76,58 +77,6 @@ func Point(dims int) propcheck.Gen[measurement.Point] {
 	}
 }
 
-// EpochParams generates valid training-setup parameters within the exact
-// float range of Eqs. 2–4: B ∈ [1,1024], D_t ≤ 1e9, D_v ≤ 1e7, M ∈
-// {1,2,4,8} and G a multiple of M with G/M ≤ 4096 — so the floor
-// arithmetic is exactly representable and comparable against a big-int
-// oracle. Shrinking reduces the dataset sizes and parallel degrees.
-func EpochParams() propcheck.Gen[epoch.Params] {
-	return propcheck.Gen[epoch.Params]{
-		Generate: func(r *propcheck.Rand) epoch.Params {
-			m := float64(int64(1) << r.IntRange(0, 3)) // 1, 2, 4, 8
-			return epoch.Params{
-				BatchSize:     float64(r.IntRange(1, 1024)),
-				TrainSamples:  float64(r.Int64Range(0, 1_000_000_000)),
-				ValSamples:    float64(r.Int64Range(0, 10_000_000)),
-				DataParallel:  m * float64(r.IntRange(1, 4096)),
-				ModelParallel: m,
-			}
-		},
-		Shrink: func(p epoch.Params) []epoch.Params {
-			var out []epoch.Params
-			add := func(q epoch.Params) {
-				if q.Validate() == nil && q != p {
-					out = append(out, q)
-				}
-			}
-			q := p
-			q.TrainSamples = 0
-			add(q)
-			q = p
-			q.TrainSamples = float64(int64(p.TrainSamples) / 2)
-			add(q)
-			q = p
-			q.ValSamples = 0
-			add(q)
-			q = p
-			q.BatchSize = 1
-			add(q)
-			q = p
-			q.DataParallel = p.ModelParallel
-			add(q)
-			q = p
-			//edlint:ignore divguard ModelParallel is generated as 1<<k with k ≥ 0, never zero
-			q.DataParallel, q.ModelParallel = p.DataParallel/p.ModelParallel, 1
-			add(q)
-			return out
-		},
-		Describe: func(p epoch.Params) string {
-			return fmt.Sprintf("Params{B=%g Dt=%g Dv=%g G=%g M=%g}",
-				p.BatchSize, p.TrainSamples, p.ValSamples, p.DataParallel, p.ModelParallel)
-		},
-	}
-}
-
 // TraceShape bounds the structure of generated traces.
 type TraceShape struct {
 	// MaxEpochs bounds the epoch count (≥ 1, default 3).
@@ -139,6 +88,15 @@ type TraceShape struct {
 	// MaxEventsPerStep bounds the kernel events inside one step
 	// (default 4).
 	MaxEventsPerStep int
+	// Irregular adds the shapes real profiles have and the default traces
+	// avoid: each trace draws on a random subset of the kernel pool, and
+	// events may sit between steps or after the last one, have an empty
+	// callpath, coalesce invocations (Count > 1) or carry a kind other
+	// than their key's usual one; the event order is shuffled. ProfileSet
+	// also drops some (rank, repetition) profiles. Traces still pass
+	// Validate. Off, generation draws the same random numbers as before
+	// the option existed, so existing seeds replay unchanged.
+	Irregular bool
 }
 
 func (s TraceShape) withDefaults() TraceShape {
@@ -173,23 +131,42 @@ func Trace(shape TraceShape) propcheck.Gen[trace.Trace] {
 			epochs := r.IntRange(1, shape.MaxEpochs)
 			trainSteps := r.IntRange(1, shape.MaxTrainSteps)
 			valSteps := r.IntRange(0, shape.MaxValSteps)
+			pool := kernelPool
+			if shape.Irregular {
+				pool = nil
+				for _, i := range r.Perm(len(kernelPool))[:r.IntRange(1, len(kernelPool))] {
+					pool = append(pool, kernelPool[i])
+				}
+			}
+			event := func(phase trace.Phase, start float64) trace.Event {
+				kern := pool[r.Intn(len(pool))]
+				ev := trace.Event{
+					Name:     kern.name,
+					Kind:     kern.kind,
+					Callpath: "App->" + phase.String() + "->" + kern.name,
+					Start:    start,
+					Duration: r.Float64Range(0, 0.01),
+				}
+				if kern.kind == calltree.KindMemcpy {
+					ev.Bytes = float64(r.IntRange(0, 1<<20))
+				}
+				if shape.Irregular {
+					irregular(r, &ev)
+				}
+				return ev
+			}
+			async := func(phase trace.Phase, from, to float64) {
+				for k := r.IntRange(0, 2); k > 0; k-- {
+					tr.Events = append(tr.Events, event(phase, r.Float64Range(from, to)))
+				}
+			}
 			for e := 0; e < epochs; e++ {
 				epochStart := cursor
 				emit := func(phase trace.Phase, idx int) {
 					stepStart := cursor
 					t := stepStart
 					for k := r.IntRange(1, shape.MaxEventsPerStep); k > 0; k-- {
-						kern := kernelPool[r.Intn(len(kernelPool))]
-						ev := trace.Event{
-							Name:     kern.name,
-							Kind:     kern.kind,
-							Callpath: "App->" + phase.String() + "->" + kern.name,
-							Start:    t,
-							Duration: r.Float64Range(0, 0.01),
-						}
-						if kern.kind == calltree.KindMemcpy {
-							ev.Bytes = float64(r.IntRange(0, 1<<20))
-						}
+						ev := event(phase, t)
 						tr.Events = append(tr.Events, ev)
 						t = ev.End() + r.Float64Range(0, 0.001)
 					}
@@ -197,7 +174,11 @@ func Trace(shape TraceShape) propcheck.Gen[trace.Trace] {
 					tr.Steps = append(tr.Steps, trace.StepSpan{
 						Epoch: e, Index: idx, Phase: phase, Start: stepStart, End: cursor,
 					})
-					cursor += r.Float64Range(0, 0.002) // inter-step gap
+					gap := r.Float64Range(0, 0.002) // inter-step gap
+					if shape.Irregular {
+						async(phase, cursor, cursor+gap)
+					}
+					cursor += gap
 				}
 				for s := 0; s < trainSteps; s++ {
 					emit(trace.PhaseTrain, s)
@@ -208,12 +189,33 @@ func Trace(shape TraceShape) propcheck.Gen[trace.Trace] {
 				tr.Epochs = append(tr.Epochs, trace.EpochSpan{Index: e, Start: epochStart, End: cursor})
 				cursor += 0.001
 			}
+			if shape.Irregular {
+				async(trace.PhaseTrain, cursor, cursor+0.01) // after the last step
+				r.Shuffle(len(tr.Events), func(i, j int) { tr.Events[i], tr.Events[j] = tr.Events[j], tr.Events[i] })
+			}
 			return tr
 		},
 		Describe: func(tr trace.Trace) string {
 			return fmt.Sprintf("trace{rank=%d events=%d steps=%d epochs=%d}",
 				tr.Rank, len(tr.Events), len(tr.Steps), len(tr.Epochs))
 		},
+	}
+}
+
+// irregular mutates a generated event into one of the shapes real
+// profiles have: an empty callpath (the key becomes the name), coalesced
+// invocations, or a kind other than its key's usual one — including
+// memory kinds on compute keys and the unknown kind.
+func irregular(r *propcheck.Rand, ev *trace.Event) {
+	if r.Intn(4) == 0 {
+		ev.Callpath = ""
+	}
+	if r.Intn(4) == 0 {
+		ev.Count = r.IntRange(2, 8)
+	}
+	if r.Intn(4) == 0 {
+		ev.Kind = calltree.Kind(r.IntRange(int(calltree.KindUnknown), int(calltree.KindCUDAAPI)))
+		ev.Bytes = float64(r.IntRange(0, 1<<20))
 	}
 }
 
@@ -285,6 +287,9 @@ func ProfileSet(shape SetShape) propcheck.Gen[[]*profile.Profile] {
 				seen[pt.Key()] = true
 				for rep := 1; rep <= reps; rep++ {
 					for rank := 0; rank < ranks; rank++ {
+						if shape.Trace.Irregular && rep+rank > 1 && r.Intn(5) == 0 {
+							continue // a (rank, repetition) profile missing
+						}
 						tr := tgen.Generate(r)
 						tr.Rank = rank
 						out = append(out, &profile.Profile{

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"extradeep/internal/epoch"
 	"extradeep/internal/measurement"
 	"extradeep/internal/profile"
 	"extradeep/internal/propcheck"
@@ -17,6 +16,27 @@ import (
 func TestPropGeneratedTracesAreValid(t *testing.T) {
 	propcheck.Check(t, Trace(TraceShape{}), func(tr trace.Trace) error {
 		return tr.Validate()
+	})
+}
+
+// TestPropIrregularTracesAreValid: the irregular shape (async and
+// trailing events, name keys, coalesced and mixed-kind events, shuffled
+// order) still yields traces that pass Validate, and profile sets whose
+// profiles pass Validate under unique identities.
+func TestPropIrregularTracesAreValid(t *testing.T) {
+	shape := SetShape{Trace: TraceShape{Irregular: true}}
+	propcheck.Check(t, ProfileSet(shape), func(ps []*profile.Profile) error {
+		seen := map[string]bool{}
+		for _, p := range ps {
+			if err := p.Validate(); err != nil {
+				return err
+			}
+			if seen[p.FileName()] {
+				return fmt.Errorf("duplicate identity %s", p.FileName())
+			}
+			seen[p.FileName()] = true
+		}
+		return nil
 	})
 }
 
@@ -41,27 +61,6 @@ func TestPropGeneratedProfileSetsAreValid(t *testing.T) {
 			app, config, rank, rep, ok := profile.ParseFileName(name)
 			if !ok || app != p.App || rank != p.Rank || rep != p.Rep || len(config) != len(p.Config) {
 				return fmt.Errorf("file name %s does not round-trip", name)
-			}
-		}
-		return nil
-	})
-}
-
-// TestPropEpochParamsWithinOracleRange: generated setups validate, keep M
-// dividing G, and stay inside the exactly-representable float range the
-// big-int oracle comparison relies on.
-func TestPropEpochParamsWithinOracleRange(t *testing.T) {
-	propcheck.Check(t, EpochParams(), func(p epoch.Params) error {
-		if err := p.Validate(); err != nil {
-			return err
-		}
-		if math.Mod(p.DataParallel, p.ModelParallel) != 0 {
-			return fmt.Errorf("M=%g does not divide G=%g", p.ModelParallel, p.DataParallel)
-		}
-		for _, v := range []float64{p.BatchSize, p.TrainSamples, p.ValSamples, p.DataParallel, p.ModelParallel} {
-			//edlint:ignore floateq integrality check: a generated count must be exactly its own truncation
-			if v != math.Trunc(v) || v > 1e9 {
-				return fmt.Errorf("value %g outside the exact integer range", v)
 			}
 		}
 		return nil

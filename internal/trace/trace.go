@@ -188,6 +188,7 @@ func (t *Trace) Validate() error {
 // -1 when t falls between steps (an asynchronous region).
 func (t *Trace) StepOf(time float64) int {
 	// Binary search on the sorted step starts.
+	//edlint:ignore allocloop sort.Search and this predicate inline, so the closure never reaches the heap (go build -gcflags=-m)
 	i := sort.Search(len(t.Steps), func(i int) bool { return t.Steps[i].End > time })
 	if i < len(t.Steps) && t.Steps[i].Contains(time) {
 		return i
@@ -200,6 +201,7 @@ func (t *Trace) StepOf(time float64) int {
 // between two steps are attributed to the following step, mirroring the
 // paper's treatment of between-step kernels (Section 2.2).
 func (t *Trace) FollowingStep(time float64) int {
+	//edlint:ignore allocloop sort.Search and this predicate inline, so the closure never reaches the heap (go build -gcflags=-m)
 	i := sort.Search(len(t.Steps), func(i int) bool { return t.Steps[i].Start >= time })
 	if i < len(t.Steps) {
 		return i

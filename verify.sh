@@ -203,6 +203,35 @@ echo "$fit_out" | awk -v ceiling="$fit_alloc_ceiling" '
 	}
 	END { exit bad }' || { class="budget-exceeded"; exit 1; }
 
+# aggregate-bench: the Fig. 2 aggregation runs over dense kernel IDs and
+# flat per-trace tables (DESIGN.md §18) instead of string-keyed nested
+# maps, which cut BenchmarkPipelineOnly (aggregation + BuildModels on a
+# pre-generated 5-configuration cifar10 campaign) from ~58.3k to ~14.0k
+# allocs/op. A 3-iteration smoke run of the fit-bench binary must finish
+# inside a 60-second budget and stay under an allocs/op ceiling with
+# ~10% headroom, so a map or a per-event allocation creeping back into
+# aggregation fails here.
+aggregate_alloc_ceiling=15400
+begin aggregate-bench test "BenchmarkPipelineOnly -benchtime 3x -benchmem (60s budget, allocs/op <= ${aggregate_alloc_ceiling})"
+aggregate_start=$(date +%s)
+aggregate_out=$("$fit_bin" -test.run '^$' -test.bench 'BenchmarkPipelineOnly$' -test.benchtime 3x -test.benchmem)
+aggregate_elapsed=$(($(date +%s) - aggregate_start))
+echo "$aggregate_out"
+echo "aggregate-bench: smoke run finished in ${aggregate_elapsed}s"
+if [ "$aggregate_elapsed" -gt 60 ]; then
+	class="budget-exceeded"
+	echo "aggregate-bench: smoke run exceeded the 60s budget (${aggregate_elapsed}s) — profile with 'go test -run ^$ -bench BenchmarkPipelineOnly -cpuprofile cpu.out .'" >&2
+	exit 1
+fi
+echo "$aggregate_out" | awk -v ceiling="$aggregate_alloc_ceiling" '
+	/allocs\/op/ {
+		for (i = 2; i <= NF; i++) if ($i == "allocs/op" && $(i - 1) + 0 > ceiling) {
+			printf "aggregate-bench: %s allocates %s allocs/op, above the %d ceiling — an allocation crept into aggregation or the fit path; run '\''go test -run ^$ -bench BenchmarkPipelineOnly -benchmem -memprofile mem.out .'\''\n", $1, $(i - 1), ceiling
+			bad = 1
+		}
+	}
+	END { exit bad }' || { class="budget-exceeded"; exit 1; }
+
 # ingest-bench: profile ingestion (read + decode + validate) was ~88% of
 # an end-to-end cifar10 run until the single-pass profile decoder
 # (DESIGN.md §17) replaced reflection-based encoding/json on the canonical
