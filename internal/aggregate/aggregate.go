@@ -192,6 +192,7 @@ type dense struct {
 	ids         map[string]int32
 	kernels     []kernel
 	slots       []slot
+	skip        []int // warm-up epoch indices of the current trace
 	phases      [2]phaseTable
 	rankVals    []float64   // ṽ_kr of the current repetition
 	rankN       []uint8     // slots recorded per (g, position); 0 when absent
@@ -424,7 +425,7 @@ func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, err
 		slices.SortStableFunc(group, func(a, b *profile.Profile) int { return cmp.Compare(a.Rank, b.Rank) })
 		for pos, p := range group {
 			tr := &p.Trace
-			train, val := d.slotSteps(tr, warmupEpochs(tr, opts.SkipWarmupEpochs))
+			train, val := d.slotSteps(tr, d.warmupEpochs(tr, opts.SkipWarmupEpochs))
 			if agg.TrainSteps == 0 && p.Rank == 0 {
 				agg.TrainSteps, agg.ValidationSteps = train, val
 			}
@@ -473,8 +474,10 @@ func Aggregate(profiles []*profile.Profile, opts Options) (*ConfigAggregate, err
 }
 
 // warmupEpochs returns the epoch indices to skip: the first `skip` epochs,
-// but never all of them — at least one epoch of data must remain.
-func warmupEpochs(tr *trace.Trace, skip int) []int {
+// but never all of them — at least one epoch of data must remain. Epochs
+// already ordered by Index (the canonical layout) are read in place into
+// d's scratch; only an unordered list is copied and sorted.
+func (d *dense) warmupEpochs(tr *trace.Trace, skip int) []int {
 	if skip <= 0 || len(tr.Epochs) <= skip {
 		if len(tr.Epochs) > 1 && skip > 0 {
 			skip = len(tr.Epochs) - 1
@@ -482,13 +485,17 @@ func warmupEpochs(tr *trace.Trace, skip int) []int {
 			return nil
 		}
 	}
-	idx := make([]int, 0, skip)
-	sorted := append([]trace.EpochSpan(nil), tr.Epochs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	for i := 0; i < skip && i < len(sorted); i++ {
-		idx = append(idx, sorted[i].Index)
+	byIndex := func(a, b trace.EpochSpan) int { return cmp.Compare(a.Index, b.Index) }
+	epochs := tr.Epochs
+	if !slices.IsSortedFunc(epochs, byIndex) {
+		epochs = slices.Clone(epochs)
+		slices.SortFunc(epochs, byIndex)
 	}
-	return idx
+	d.skip = d.skip[:0]
+	for _, e := range epochs[:skip] {
+		d.skip = append(d.skip, e.Index)
+	}
+	return d.skip
 }
 
 // SortedKernels returns the aggregate's kernels sorted by callpath.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -419,6 +420,41 @@ func TestPropAggregateMatchesOracle(t *testing.T) {
 	propcheck.Check(t, gen, matchesOracle)
 }
 
+// TestAggregateUnorderedEpochs: warm-up selection reads epochs in place
+// only when they are ordered by index; a trace listing its epochs in
+// another order aggregates as the oracle does and as the same trace with
+// ordered epochs.
+func TestAggregateUnorderedEpochs(t *testing.T) {
+	ordered := makeProfiles(3, 2, 0.01, 0.002)
+	for _, p := range ordered {
+		p.Trace = makeTrace(p.Rank, 4, 3, 0.01, 0.002)
+	}
+	shuffled := make([]*profile.Profile, len(ordered))
+	for i, p := range ordered {
+		q := *p
+		q.Trace.Epochs = slices.Clone(p.Trace.Epochs)
+		slices.Reverse(q.Trace.Epochs)
+		q.Trace.Epochs[0], q.Trace.Epochs[1] = q.Trace.Epochs[1], q.Trace.Epochs[0]
+		shuffled[i] = &q
+	}
+	if err := matchesOracle(shuffled); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range oracleOptions() {
+		want, err := Aggregate(ordered, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Aggregate(shuffled, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: unordered epochs aggregate differently", opts)
+		}
+	}
+}
+
 // TestAggregateMixedKindKey: a callpath whose events mix a compute and a
 // memory kind within one phase aggregates in either order, without a
 // panic and as the oracle does; the last event's kind decides whether
@@ -696,7 +732,7 @@ func aggregateOracle(profiles []*profile.Profile, opts Options) (*ConfigAggregat
 
 		for _, p := range group {
 			tr := &p.Trace
-			skipEpochs := warmupEpochs(tr, opts.SkipWarmupEpochs)
+			skipEpochs := oracleWarmupEpochs(tr, opts.SkipWarmupEpochs)
 			trainIdx := tr.StepsOfPhase(trace.PhaseTrain, skipEpochs...)
 			valIdx := tr.StepsOfPhase(trace.PhaseValidation, skipEpochs...)
 			if agg.TrainSteps == 0 && p.Rank == 0 {
@@ -828,6 +864,25 @@ func aggregateOracle(profiles []*profile.Profile, opts Options) (*ConfigAggregat
 		}
 	}
 	return agg, nil
+}
+
+// oracleWarmupEpochs is the copy-and-sort warm-up selection the oracle
+// keeps: the lowest `skip` epoch indices, but never every epoch.
+func oracleWarmupEpochs(tr *trace.Trace, skip int) []int {
+	if skip <= 0 || len(tr.Epochs) <= skip {
+		if len(tr.Epochs) > 1 && skip > 0 {
+			skip = len(tr.Epochs) - 1
+		} else {
+			return nil
+		}
+	}
+	idx := make([]int, 0, skip)
+	sorted := append([]trace.EpochSpan(nil), tr.Epochs...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
+	for i := 0; i < skip && i < len(sorted); i++ {
+		idx = append(idx, sorted[i].Index)
+	}
+	return idx
 }
 
 // sortedCallpathKeys returns m's callpath keys in sorted order, so

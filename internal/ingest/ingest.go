@@ -5,8 +5,11 @@
 // cluster also produces files that are outright broken: killed jobs leave
 // truncated exports, full filesystems leave empty ones, converters emit
 // NaN metrics. LoadDir is the one directory loader: it reads each file
-// and decodes it with profile.Decoder or importer.ReadCSV, isolating
-// errors per file:
+// into a Set, decoding it with profile.Decoder or importer.ReadCSV, and
+// returns the Set's Report. A Set can also be built file by file from
+// profiles decoded elsewhere (edserve decodes each upload once, at
+// admission) and reports exactly what LoadDir would. Errors are isolated
+// per file:
 //
 //   - every file that fails to read, decode or validate is quarantined
 //     into the Report with its path, failing stage and error, instead of
@@ -28,6 +31,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -139,10 +143,53 @@ type Report struct {
 }
 
 // LoadDir loads every profile of the given format ("json" or "csv") from
-// dir under the options' policy. An unreadable directory or an unknown
-// format is an error under either policy; per-file failures are
-// quarantined (Lenient) or returned immediately (Strict).
+// dir under the options' policy: it reads the directory into a Set and
+// returns the Set's Report. An unreadable directory or an unknown format
+// is an error under either policy; per-file failures are quarantined
+// (Lenient) or returned (Strict).
 func LoadDir(dir, format string, opts Options) (*Report, error) {
+	set, err := LoadSet(dir, format, new(profile.Decoder))
+	if err != nil {
+		return nil, err
+	}
+	return set.Report(opts)
+}
+
+// Set is a name-keyed collection of profile files: each file name maps
+// to its decoded profile or to the read, decode or validate failure it
+// quarantines under. It owns the directory rules — file-name order and
+// quarantine of a later-named duplicate — which Report applies, so a set
+// built file by file (edserve adds each upload as it is admitted) reports
+// exactly what LoadDir reports for the same files on disk. A Set is not
+// safe for concurrent use; Report never modifies the stored profiles.
+type Set struct {
+	dir, format string
+	files       map[string]setEntry
+	// decoded counts the bytes LoadSet read and decoded into this set.
+	decoded int64
+}
+
+// setEntry is one file of a Set: a profile with its identity, or the
+// stage and error the file failed with.
+type setEntry struct {
+	p     *profile.Profile
+	id    identity
+	stage Stage
+	err   error
+}
+
+// NewSet returns an empty set of format-"json" or "csv" files whose
+// report names dir.
+func NewSet(dir, format string) *Set {
+	return &Set{dir: dir, format: format, files: map[string]setEntry{}}
+}
+
+// LoadSet reads every file of the given format in dir into a new set,
+// decoding JSON with dec. Repeated event names and callpaths are then
+// decoded once per Decoder, and reusing one read buffer is safe because
+// no decoded profile aliases its input bytes (pinned by
+// TestLoadDirNoAlias).
+func LoadSet(dir, format string, dec *profile.Decoder) (*Set, error) {
 	var ext string
 	switch format {
 	case "json":
@@ -156,42 +203,91 @@ func LoadDir(dir, format string, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ingest: listing %s: %w", dir, err)
 	}
-	var names []string
+	s := &Set{dir: dir, format: format, files: make(map[string]setEntry, len(entries))}
+	var buf bytes.Buffer
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ext) {
-			names = append(names, e.Name())
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ext) {
+			continue
 		}
+		p, stage, err := s.readFile(&buf, dec, e.Name())
+		s.put(e.Name(), p, stage, err)
+	}
+	return s, nil
+}
+
+// readFile reads and decodes one file of the set's directory, counting
+// the bytes it decodes.
+func (s *Set) readFile(buf *bytes.Buffer, dec *profile.Decoder, name string) (*profile.Profile, Stage, error) {
+	f, err := os.Open(filepath.Join(s.dir, name))
+	if err != nil {
+		return nil, StageRead, err
+	}
+	defer f.Close()
+	buf.Reset()
+	if _, err := buf.ReadFrom(f); err != nil {
+		return nil, StageRead, err
+	}
+	s.decoded += int64(buf.Len())
+	return Decode(dec, buf.Bytes(), s.format)
+}
+
+// Add records name as a decoded and validated profile, replacing any
+// entry under that name.
+func (s *Set) Add(name string, p *profile.Profile) { s.put(name, p, 0, nil) }
+
+func (s *Set) put(name string, p *profile.Profile, stage Stage, err error) {
+	e := setEntry{p: p, stage: stage, err: err}
+	if err == nil {
+		e.id = identityOf(p)
+	}
+	s.files[name] = e
+}
+
+// Clone returns a copy of the set that shares its profiles. The copy's
+// Decoded count is zero: building it decoded nothing.
+func (s *Set) Clone() *Set {
+	return &Set{dir: s.dir, format: s.format, files: maps.Clone(s.files)}
+}
+
+// Decoded returns the bytes LoadSet read and decoded into the set; 0 for
+// a set built by Add or Clone.
+func (s *Set) Decoded() int64 { return s.decoded }
+
+// Report applies the directory rules under the options' policy: entries
+// in file-name order, every failed file quarantined with its stage, and
+// a profile whose identity an earlier-named file already provides
+// quarantined as a duplicate. Under Strict the first quarantine is
+// returned as the error instead. Each call returns a fresh Report.
+func (s *Set) Report(opts Options) (*Report, error) {
+	names := make([]string, 0, len(s.files))
+	for name := range s.files {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 
-	rep := &Report{Dir: dir, Format: format}
+	rep := &Report{Dir: s.dir, Format: s.format}
 	seen := make(map[identity]string, len(names))
-	var (
-		buf bytes.Buffer
-		dec profile.Decoder
-	)
 	for _, name := range names {
-		path := filepath.Join(dir, name)
-		p, stage, err := loadFile(&buf, &dec, path, format)
+		e := s.files[name]
+		stage, err := e.stage, e.err
 		if err == nil {
-			id := identityOf(p)
-			if prev, dup := seen[id]; dup {
+			if prev, dup := seen[e.id]; dup {
 				stage = StageValidate
 				err = fmt.Errorf("duplicate profile: %s already provides %s x%s rank %d rep %d",
-					prev, p.App, measurement.Point(p.Config).Key(), p.Rank, p.Rep)
+					filepath.Join(s.dir, prev), e.id.app, e.id.point, e.id.rank, e.id.rep)
 			} else {
-				seen[id] = path
+				seen[e.id] = name
 			}
 		}
 		if err != nil {
-			q := Quarantined{Path: path, Stage: stage, Err: err}
+			q := Quarantined{Path: filepath.Join(s.dir, name), Stage: stage, Err: err}
 			if opts.Policy == Strict {
 				return nil, fmt.Errorf("ingest: %w", q)
 			}
 			rep.Quarantined = append(rep.Quarantined, q)
 			continue
 		}
-		rep.Profiles = append(rep.Profiles, p)
+		rep.Profiles = append(rep.Profiles, e.p)
 	}
 	return rep, nil
 }
@@ -208,26 +304,11 @@ func identityOf(p *profile.Profile) identity {
 	return identity{app: p.App, point: measurement.Point(p.Config).Key(), rank: p.Rank, rep: p.Rep}
 }
 
-// loadFile loads one profile file and classifies any failure by stage.
-// LoadDir passes the same buffer and Decoder for every file: the
-// campaign's repeated event names and callpaths are then decoded once,
-// and reusing buf is safe because no decoded profile aliases its input
-// bytes (pinned by TestLoadDirNoAlias).
-func loadFile(buf *bytes.Buffer, dec *profile.Decoder, path, format string) (*profile.Profile, Stage, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, StageRead, err
-	}
-	defer f.Close()
-	buf.Reset()
-	if _, err := buf.ReadFrom(f); err != nil {
-		return nil, StageRead, err
-	}
-	return decode(dec, buf.Bytes(), format)
-}
-
-// decode decodes and validates one profile held in memory.
-func decode(dec *profile.Decoder, data []byte, format string) (*profile.Profile, Stage, error) {
+// Decode decodes and validates one profile held in memory, decoding JSON
+// with dec, and classifies any failure with the decode and validate
+// stages LoadDir uses for files on disk. The profile does not alias
+// data.
+func Decode(dec *profile.Decoder, data []byte, format string) (*profile.Profile, Stage, error) {
 	if format == "json" {
 		p, err := dec.Decode(data)
 		if err != nil {
@@ -248,15 +329,12 @@ func decode(dec *profile.Decoder, data []byte, format string) (*profile.Profile,
 	return p, 0, nil
 }
 
-// DecodeBytes decodes and validates one profile held in memory,
-// classifying any failure with the same read/decode/validate stages
-// LoadDir uses for on-disk files. It is the validation entry point for
-// callers that receive profile bytes over a transport (edserve uploads)
-// rather than from the filesystem: a rejected upload carries the exact
-// stage a directory ingestion would have quarantined it under. The
-// profile does not alias data.
+// DecodeBytes is Decode with a fresh Decoder: the validation entry point
+// for callers that receive profile bytes over a transport rather than
+// from the filesystem. A rejected document carries the exact stage a
+// directory ingestion would have quarantined it under.
 func DecodeBytes(data []byte, format string) (*profile.Profile, Stage, error) {
-	return decode(new(profile.Decoder), data, format)
+	return Decode(new(profile.Decoder), data, format)
 }
 
 // Gate applies the degradation policy to the loaded set: it decides

@@ -125,6 +125,40 @@ func TestObserverSeesStagesInOrder(t *testing.T) {
 	}
 }
 
+// TestRunOverProfileSet: a run over a profile set decoded earlier
+// (RunSpec.Profiles) reports and models exactly as the run over the same
+// directory, and its ingest stage decodes no bytes while the directory
+// run's decodes the whole directory.
+func TestRunOverProfileSet(t *testing.T) {
+	dir, setup := writeCampaign(t)
+	set, err := ingest.LoadSet(dir, "json", new(profile.Decoder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(spec RunSpec) (*RunResult, Counters) {
+		t.Helper()
+		col := &Collector{}
+		res, err := New(Config{Workers: 2, Observer: col}).Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, col.Stats()[0].Counters
+	}
+	want, fromDir := run(testSpec(dir, setup))
+	spec := testSpec("", setup)
+	spec.Profiles = set.Clone()
+	got, fromSet := run(spec)
+	if got.Report != want.Report {
+		t.Error("report over the set differs from the report over the directory")
+	}
+	if fromDir["decoded_bytes"] != int(set.Decoded()) || fromDir["decoded_bytes"] == 0 {
+		t.Errorf("directory run decoded %d bytes, want the directory's %d", fromDir["decoded_bytes"], set.Decoded())
+	}
+	if fromSet["decoded_bytes"] != 0 || fromSet["loaded"] != fromDir["loaded"] {
+		t.Errorf("set run counters %v, want loaded=%d decoded_bytes=0", fromSet, fromDir["loaded"])
+	}
+}
+
 func TestLogObserverWritesStageLines(t *testing.T) {
 	var buf bytes.Buffer
 	obs := &LogObserver{W: &buf}

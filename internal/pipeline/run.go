@@ -9,11 +9,14 @@ import (
 )
 
 // RunSpec describes one end-to-end pipeline run from a profile directory
-// to the rendered report.
+// (or an already decoded profile set) to the rendered report.
 type RunSpec struct {
 	// ProfilesDir and Format locate the profile set.
 	ProfilesDir string
 	Format      string
+	// Profiles, when non-nil, replaces ProfilesDir and Format: the run
+	// ingests this set instead of reading a directory.
+	Profiles *ingest.Set
 	// Ingest configures quarantine policy and the degradation gate.
 	Ingest ingest.Options
 	// Setup derives the training-setup values per configuration
@@ -55,7 +58,12 @@ func (p *Pipeline) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 
 	res := &RunResult{}
 	var err error
-	if res.Ingest, err = p.Ingest(rctx, spec.ProfilesDir, spec.Format, spec.Ingest); err != nil {
+	if spec.Profiles != nil {
+		res.Ingest, err = p.ingest(rctx, spec.Ingest, func() (*ingest.Set, error) { return spec.Profiles, nil })
+	} else {
+		res.Ingest, err = p.Ingest(rctx, spec.ProfilesDir, spec.Format, spec.Ingest)
+	}
+	if err != nil {
 		return res, err
 	}
 	if err = res.Ingest.Gate(spec.Ingest); err != nil {

@@ -52,16 +52,32 @@ func (m *ModelSet) KernelCount() int {
 // adds stage timing, counters and the resilience hooks (injection point
 // "ingest", deadline budget, retry of retryable-class failures).
 func (p *Pipeline) Ingest(ctx context.Context, dir, format string, opts ingest.Options) (*ingest.Report, error) {
+	return p.ingest(ctx, opts, func() (*ingest.Set, error) {
+		return ingest.LoadSet(dir, format, new(profile.Decoder))
+	})
+}
+
+// ingest runs the Ingest stage over the set load returns: a directory
+// read (Ingest) or a set decoded earlier (RunSpec.Profiles, edserve's
+// per-application cache) — same events, hooks and counters either way.
+// Its counters include decoded_bytes, the profile bytes the stage itself
+// decoded: the directory's size for a directory load, 0 for a set
+// decoded earlier.
+func (p *Pipeline) ingest(ctx context.Context, opts ingest.Options, load func() (*ingest.Set, error)) (*ingest.Report, error) {
 	var report *ingest.Report
 	err := p.runStage(ctx, StageIngest, func(sctx context.Context) (Counters, error) {
-		var err error
-		report, err = ingest.LoadDir(dir, format, opts)
+		set, err := load()
+		if err != nil {
+			return nil, err
+		}
+		report, err = set.Report(opts)
 		if report == nil {
 			return nil, err
 		}
 		return Counters{
-			"loaded":      len(report.Profiles),
-			"quarantined": len(report.Quarantined),
+			"loaded":        len(report.Profiles),
+			"quarantined":   len(report.Quarantined),
+			"decoded_bytes": int(set.Decoded()),
 		}, err
 	})
 	return report, err

@@ -80,11 +80,14 @@ func (a *appState) abort() {
 	a.signalLocked()
 }
 
-// campaign runs one full pipeline over the application's spool directory
-// and builds the snapshot to publish. The pipeline configuration is
-// exactly the batch CLI's — pipeline.New's default aggregation and
-// modeling options, the same lenient ingest with degradation gate — so
-// the fitted ModelSet is byte-identical to a batch run over the same files. With a
+// campaign runs one full pipeline over the application's profile set —
+// every spooled file, decoded once when it was admitted (or when a
+// restart rebuilt the set) — and builds the snapshot to publish. The set
+// reports exactly what ingest.LoadDir reports over the spool, and the
+// pipeline configuration is exactly the batch CLI's — pipeline.New's
+// default aggregation and modeling options, the same lenient ingest with
+// degradation gate — so the fitted ModelSet is byte-identical to a batch
+// run over the same files. With a
 // checkpoint directory, the campaign writes one record per fit task
 // under CheckpointDir/<app> and (with Resume) reuses every task whose
 // series and options are unchanged — across restarts and across
@@ -93,6 +96,10 @@ func (a *appState) abort() {
 // kernels it does not touch are reused.
 func (s *Server) campaign(ctx context.Context, a *appState, gen int64) (*Snapshot, *fitOutcome) {
 	cfg := s.cfg
+	set, err := a.profileSet()
+	if err != nil {
+		return nil, &fitOutcome{gen: gen, err: err}
+	}
 	var ckpt *resilience.Store
 	if cfg.CheckpointDir != "" {
 		dir := filepath.Join(cfg.CheckpointDir, a.name)
@@ -111,11 +118,10 @@ func (s *Server) campaign(ctx context.Context, a *appState, gen int64) (*Snapsho
 		Resume:       cfg.Resume,
 	})
 	res, err := pl.Run(ctx, pipeline.RunSpec{
-		ProfilesDir: filepath.Join(cfg.SpoolDir, a.name),
-		Format:      a.spoolFormat(),
-		Ingest:      ingest.Options{Policy: ingest.Lenient},
-		Setup:       cfg.Setup,
-		Analyze:     cfg.Analyze,
+		Profiles: set,
+		Ingest:   ingest.Options{Policy: ingest.Lenient},
+		Setup:    cfg.Setup,
+		Analyze:  cfg.Analyze,
 	})
 	if err != nil {
 		var ge *ingest.GateError

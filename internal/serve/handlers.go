@@ -15,6 +15,7 @@ import (
 	"extradeep/internal/epoch"
 	"extradeep/internal/ingest"
 	"extradeep/internal/mathutil"
+	"extradeep/internal/profile"
 	"extradeep/internal/resilience"
 )
 
@@ -137,6 +138,7 @@ type upload struct {
 	name string
 	id   identity
 	data []byte
+	p    *profile.Profile
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
@@ -153,33 +155,43 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, err)
 		return
 	}
-	batch, err := validateBatch(name, req)
+
+	// Serialize uploads per application: decoding (with the app's one
+	// Decoder), admission (conflict checks) and the spool writes must be
+	// one atomic step or two racing uploads could both admit the same
+	// identity. A first upload decodes before its application exists, so
+	// a refused one creates none.
+	a, known := s.store.lookup(name)
+	dec := new(profile.Decoder)
+	if known {
+		a.upMu.Lock()
+		defer a.upMu.Unlock()
+		dec = a.decoder(dec)
+	}
+	batch, err := validateBatch(dec, name, req)
 	if err != nil {
 		writeAPIError(w, err)
 		return
 	}
-
-	a := s.store.get(name)
-	// Serialize uploads per application: admission (conflict checks) and
-	// the spool writes must be one atomic step or two racing uploads
-	// could both admit the same identity.
-	a.upMu.Lock()
-	defer a.upMu.Unlock()
+	if !known {
+		a = s.store.get(name)
+		a.upMu.Lock()
+		defer a.upMu.Unlock()
+		a.decoder(dec)
+	}
 	if err := a.admit(req.Format, batch); err != nil {
 		writeAPIError(w, err)
 		return
 	}
-	if err := s.spool(name, batch); err != nil {
+	if err := spool(a.dir, batch); err != nil {
 		writeAPIError(w, err)
 		return
 	}
-	added := make(map[identity]string, len(batch))
 	accepted := make([]string, 0, len(batch))
 	for _, u := range batch {
-		added[u.id] = u.name
 		accepted = append(accepted, u.name)
 	}
-	a.commit(req.Format, added)
+	a.commit(req.Format, batch)
 	s.kick(a)
 
 	st := a.status()
@@ -218,17 +230,18 @@ func decodeUploadRequest(r *http.Request, limit int64) (*uploadRequest, error) {
 
 // validateBatch runs every uploaded document through the exact
 // read/decode/validate classification directory ingestion uses
-// (ingest.DecodeBytes) and derives canonical spool names. The batch is
-// atomic: any failing file refuses the whole upload with 422 and
-// per-file stage detail, and the store stays unchanged.
-func validateBatch(app string, req *uploadRequest) ([]upload, error) {
+// (ingest.Decode, with the application's Decoder) and derives canonical
+// spool names. The batch is atomic: any failing file refuses the whole
+// upload with 422 and per-file stage detail, and the store stays
+// unchanged.
+func validateBatch(dec *profile.Decoder, app string, req *uploadRequest) ([]upload, error) {
 	var batch []upload
 	var rejected []fileDetail
 	for i, f := range req.Profiles {
 		// One copy serves both the decode and the spool: no decoded field
 		// aliases its input.
 		data := []byte(f.Content)
-		p, stage, err := ingest.DecodeBytes(data, req.Format)
+		p, stage, err := ingest.Decode(dec, data, req.Format)
 		if err != nil {
 			rejected = append(rejected, fileDetail{Index: i, Stage: stage.String(), Reason: err.Error()})
 			continue
@@ -245,6 +258,7 @@ func validateBatch(app string, req *uploadRequest) ([]upload, error) {
 			name: name,
 			id:   identity{point: p.Point().Key(), rank: p.Rank, rep: p.Rep},
 			data: data,
+			p:    p,
 		})
 	}
 	if len(rejected) > 0 {
@@ -257,11 +271,10 @@ func validateBatch(app string, req *uploadRequest) ([]upload, error) {
 
 // spool writes an admitted batch under the application's spool
 // directory. Each file lands via a temporary ".part" name plus rename,
-// so a fit campaign scanning the directory concurrently never reads a
+// so a batch run reading the directory concurrently never sees a
 // half-written profile; on any failure the already-written files of this
 // batch are removed, keeping the upload atomic.
-func (s *Server) spool(app string, batch []upload) error {
-	dir := filepath.Join(s.cfg.SpoolDir, app)
+func spool(dir string, batch []upload) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("creating spool directory: %w", err)
 	}

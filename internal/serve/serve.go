@@ -15,15 +15,23 @@
 //   - Store: application states sharded by FNV-1a of the app name, each
 //     shard behind its own mutex, so uploads and queries for different
 //     applications never contend on one lock. Per-application state
-//     carries the upload spool bookkeeping plus an atomic.Pointer to the
-//     current Snapshot — queries load the pointer once and answer
-//     entirely from that value, so a response always reflects one fully
-//     fitted campaign, never a torn mix of two.
+//     carries the upload spool bookkeeping, the decoded profile set
+//     campaigns ingest, plus an atomic.Pointer to the current Snapshot —
+//     queries load the pointer once and answer entirely from that value,
+//     so a response always reflects one fully fitted campaign, never a
+//     torn mix of two.
+//
+//   - Decode once: an upload is decoded and validated at admission, and
+//     the decoded profile joins the application's name-keyed
+//     ingest.Set when its file is committed to the spool. Campaigns
+//     ingest a copy of that set instead of re-reading the spool, so each
+//     uploaded byte is decoded once; a restarted server rebuilds the set
+//     from the spool with one decode per file on its first campaign.
 //
 //   - Fit scheduling: an upload marks its application dirty and ensures
 //     exactly one fit loop goroutine runs for it. The loop clears the
 //     dirty flag, optionally waits one coalescing window (absorbing the
-//     rest of a burst), runs the full pipeline over the spool directory,
+//     rest of a burst), runs the full pipeline over the profile set,
 //     and publishes the new snapshot; if more uploads arrived meanwhile
 //     the loop goes around again, so N concurrent uploads cost at most
 //     two campaigns, not N. Campaign concurrency across applications is
@@ -31,11 +39,12 @@
 //     internal/pipeline's bounded forEach pool.
 //
 //   - Parity by construction: the fit path IS the batch path. Uploads
-//     are spooled verbatim under their canonical file names and the
-//     campaign runs pipeline.Run over that directory with the same
-//     options the extradeep CLI would use, so the fitted ModelSet is
-//     byte-identical to a batch run on the same files
-//     (TestPropServeFitParity pins it).
+//     are spooled verbatim under their canonical file names, the set
+//     reports exactly what ingest.LoadDir reports over that directory
+//     (TestPropServeSetMatchesSpool pins it), and the campaign runs
+//     pipeline.Run over the set with the same options the extradeep CLI
+//     would use, so the fitted ModelSet is byte-identical to a batch run
+//     on the same files (TestPropServeFitParity pins it).
 //
 //   - Incremental re-fit: with a checkpoint directory configured, every
 //     campaign runs with resilience checkpointing and resume, so a
@@ -69,10 +78,10 @@ import (
 // else has serving defaults.
 type Config struct {
 	// SpoolDir is the root of the per-application upload spool: accepted
-	// uploads are written verbatim to SpoolDir/<app>/<canonical name>,
-	// and fit campaigns run the ingest stage over that directory. The
-	// spool is the server's durable input state — a restarted server
-	// rescans it and re-fits every application found.
+	// uploads are written verbatim to SpoolDir/<app>/<canonical name>.
+	// The spool is the server's durable input state — a restarted server
+	// rescans it, decodes it once into each application's profile set,
+	// and re-fits every application found.
 	SpoolDir string
 	// CheckpointDir enables fit checkpointing: each application's
 	// campaigns persist one record per completed fit task under
@@ -182,7 +191,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:    cfg,
-		store:  newStore(),
+		store:  newStore(cfg.SpoolDir),
 		clock:  clock,
 		fitSem: make(chan struct{}, cfg.maxCampaigns()),
 	}, nil

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"hash/fnv"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"extradeep/internal/ingest"
 	"extradeep/internal/measurement"
 	"extradeep/internal/pipeline"
 	"extradeep/internal/profile"
@@ -17,6 +19,9 @@ import (
 // name so uploads and queries for different applications contend only
 // within their shard. Shard count is fixed at construction.
 type store struct {
+	// root is the spool root; each application spools under
+	// root/<app>.
+	root   string
 	shards []*shard
 }
 
@@ -30,8 +35,8 @@ type shard struct {
 
 const shardCount = 16
 
-func newStore() *store {
-	st := &store{shards: make([]*shard, shardCount)}
+func newStore(root string) *store {
+	st := &store{root: root, shards: make([]*shard, shardCount)}
 	for i := range st.shards {
 		st.shards[i] = &shard{apps: make(map[string]*appState)}
 	}
@@ -52,7 +57,7 @@ func (st *store) get(app string) *appState {
 	defer sh.mu.Unlock()
 	a, ok := sh.apps[app]
 	if !ok {
-		a = &appState{name: app, ids: map[identity]string{}, pubCh: make(chan struct{})}
+		a = &appState{name: app, dir: filepath.Join(st.root, app), ids: map[identity]string{}, pubCh: make(chan struct{})}
 		sh.apps[app] = a
 	}
 	return a
@@ -156,11 +161,18 @@ type fitOutcome struct {
 // read through an atomic pointer so queries never take the lock.
 type appState struct {
 	name string
+	// dir is the application's spool directory.
+	dir string
 
 	// upMu serializes upload batches for this application, held across
-	// the whole admit → spool-write → commit sequence so admission
-	// checks and the files they admitted cannot interleave.
+	// the whole decode → admit → spool-write → commit sequence so
+	// admission checks and the files they admitted cannot interleave.
+	// It also guards dec and the spool rebuild after a restart.
 	upMu sync.Mutex
+	// dec decodes every JSON upload and spool rebuild of the
+	// application, so the cached profiles share their event-name and
+	// callpath strings; nil until the first upload or rebuild.
+	dec *profile.Decoder
 
 	mu sync.Mutex
 	// format is the application's profile format ("json" or "csv"),
@@ -170,6 +182,12 @@ type appState struct {
 	files int
 	// ids indexes spooled identities → file name, for duplicate refusal.
 	ids map[identity]string
+	// set holds every spooled file decoded, keyed by file name: the
+	// input campaigns ingest. nil until the first commit or rebuild.
+	set *ingest.Set
+	// rebuild marks a spool adopted at Start whose files are not yet
+	// in set; the next campaign decodes them once.
+	rebuild bool
 	// dirty marks spool content not yet covered by a fit campaign;
 	// fitting marks a live fit loop. Together they coalesce bursts: an
 	// upload only spawns a loop when none runs, otherwise the running
@@ -215,6 +233,7 @@ func (a *appState) adopt(sa scannedApp) {
 		a.ids[id] = name
 	}
 	a.dirty = a.files > 0 && !a.mixed
+	a.rebuild = a.dirty
 }
 
 // snapshot returns the current published snapshot (nil before the first
@@ -245,20 +264,68 @@ func (a *appState) status() appStatus {
 }
 
 // commit records an accepted batch of uploads: fixes the format on first
-// use, indexes the identities, bumps the file count and marks the state
-// dirty. The caller has already validated and written the files.
-func (a *appState) commit(format string, added map[identity]string) {
+// use, indexes the identities, adds the decoded profiles to the set,
+// bumps the file count and marks the state dirty. The caller has already
+// validated and written the files.
+func (a *appState) commit(format string, batch []upload) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.format == "" {
 		a.format = format
 	}
-	for id, name := range added {
-		a.ids[id] = name
+	if a.set == nil {
+		a.set = ingest.NewSet(a.dir, a.format)
 	}
-	a.files += len(added)
+	for _, u := range batch {
+		a.ids[u.id] = u.name
+		a.set.Add(u.name, u.p)
+	}
+	a.files += len(batch)
 	a.dirty = true
 	a.signalLocked()
+}
+
+// decoder returns the application's Decoder, adopting fallback when it
+// has none yet. Callers hold a.upMu.
+func (a *appState) decoder(fallback *profile.Decoder) *profile.Decoder {
+	if a.dec == nil {
+		a.dec = fallback
+	}
+	return a.dec
+}
+
+// profileSet returns a campaign's own copy of the application's profile
+// set. After a restart it first rebuilds the set from the spool — one
+// decode per file, under upMu so no upload interleaves — and returns
+// that freshly loaded set, whose Decoded count is the spool's size.
+func (a *appState) profileSet() (*ingest.Set, error) {
+	if set, ok := a.cachedSet(); ok {
+		return set, nil
+	}
+	a.upMu.Lock()
+	defer a.upMu.Unlock()
+	if set, ok := a.cachedSet(); ok {
+		return set, nil
+	}
+	set, err := ingest.LoadSet(a.dir, a.spoolFormat(), a.decoder(new(profile.Decoder)))
+	if err != nil {
+		return nil, err
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.set = set.Clone()
+	a.rebuild = false
+	return set, nil
+}
+
+// cachedSet copies the set unless a rebuild is pending.
+func (a *appState) cachedSet() (*ingest.Set, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.rebuild || a.set == nil {
+		return nil, false
+	}
+	return a.set.Clone(), true
 }
 
 // admit checks one upload batch against the spooled state under the

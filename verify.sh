@@ -64,8 +64,9 @@ go test -race ./...
 # counts, prompt cancellation, no goroutine leaks, order-independent
 # aggregation and model selection) get an extra stress pass: shuffled test
 # order, run twice, under the race detector, across the deterministic core
-# of the modeling path.
-shuffle_pkgs="./internal/pipeline/... ./internal/aggregate/... ./internal/epoch/... ./internal/modeling/... ./internal/pmnf/... ./internal/analysis/... ./internal/serve/..."
+# of the modeling path, plus ingest, whose profile-set Report runs beside
+# concurrent edserve uploads.
+shuffle_pkgs="./internal/pipeline/... ./internal/ingest/... ./internal/aggregate/... ./internal/epoch/... ./internal/modeling/... ./internal/pmnf/... ./internal/analysis/... ./internal/serve/..."
 begin shuffle test "go test -race -shuffle=on -count=2 (pipeline + modeling core)"
 go test -race -shuffle=on -count=2 $shuffle_pkgs
 
